@@ -5,70 +5,52 @@ Run:  python3 demos/penrose_walkthrough.py
 
 from importlib import resources
 
-from tilecohom import abelian as ab
-from tilecohom.approximant import (
-    build_ap_complex,
-    collar,
-    hull_cohomology,
-    quotient_cohomology,
-    rotation_action,
-)
-from tilecohom.atlas import check_isotropy, grow_star_closure
-from tilecohom.spectral import SpectralInput, spectral_route
-from tilecohom.tiling import load_system
-from tilecohom.winding import assign_rho, dagger_orders, omega_chain
+from tilecohom.pipeline import RunConfig, run_pipeline
 
-print("== loading the kite-and-dart system (half-tile triangles) ==")
 path = resources.files("tilecohom") / "systems" / "penrose.json"
-system = load_system(str(path))
+print("running both routes on the kite-and-dart system (about half a minute)\n")
+run = run_pipeline(RunConfig(str(path), route="both"))
+system, atlas, report = run.system, run.atlas, run.report
+
+print("== the kite-and-dart system (half-tile triangles) ==")
 print(f"ring order {system.n}, rotation group of order {system.rotation_order},")
 print(f"{len(system.prototiles)} half-tile prototiles, regrouped into "
       f"{len(system.regroups)} public tiles\n")
 
-print("== growing the star atlas ==")
-atlas = grow_star_closure(system)
+print("== the star atlas ==")
 tiles, edges, vertices = atlas.counts()
 print(f"closure at substitution level {atlas.closure_level}: "
       f"{tiles} tile classes, {edges} edge stars, {vertices} vertex stars")
-print("vertex symmetry orders:", dagger_orders(atlas))
-print("cell isotropy:", check_isotropy(atlas)["isotropy"], "\n")
+print("vertex symmetry orders:", tuple(report["atlas"]["orders"]))
+print("cell isotropy:", report["atlas"]["isotropy"], "\n")
 
 print("== edge rotation values and winding numbers ==")
-rho = assign_rho(atlas)
-omega = omega_chain(atlas, rho)
 for cls in atlas.edge_classes:
-    print(f"  edge star {cls.index}: rho = {rho[cls.index]} turn")
-for i, cls in enumerate(atlas.vertex_classes):
-    print(f"  vertex star {i}: winding {omega[i]:+d}, symmetry {cls.symmetry_order}")
+    print(f"  edge star {cls.index}: rho = {run.rho[cls.index]} turn")
+for cls in atlas.vertex_classes:
+    print(f"  vertex star {cls.index}: winding {run.omega[cls.index]:+d}, "
+          f"symmetry {cls.symmetry_order}")
 print()
 
 print("== mapping-torus route ==")
-collared = collar(system)
-print(f"{collared.count} collared half-tiles (level {collared.level})")
-cx = build_ap_complex(collared)
+cx = run.complex
+print(f"{cx.labels['collared_classes']} collared half-tiles "
+      f"(level {cx.labels['collar_level']})")
 print("approximant cells (vertices, edges, faces):", cx.cell_counts)
-hull = hull_cohomology(cx)
-print("translational hull cohomology:", ", ".join(str(h.group) for h in hull))
-rot = rotation_action(cx, hull)
-for h, r in zip(hull, rot):
-    print(f"  degree {h.degree}: invariants {ab.invariants_of(r)}, "
-          f"coinvariants {ab.coinvariants_of(r)}")
-torus = ab.mapping_torus_cohomology(rot)
-print("hull of rigid motions:", ", ".join(str(d.group) for d in torus))
-quotient = quotient_cohomology(cx)
-print("rotation-free quotient hull:", ", ".join(str(h.group) for h in quotient), "\n")
+print("translational hull cohomology:", ", ".join(str(h.group) for h in run.hull))
+# the torus in degree k + 1 carries the coinvariants of hull degree k
+for h, here, above in zip(run.hull, run.torus, run.torus[1:]):
+    print(f"  degree {h.degree}: invariants {here.invariants}, "
+          f"coinvariants {above.coinvariants_below}")
+print("hull of rigid motions:", ", ".join(str(d.group) for d in run.torus))
+print("rotation-free quotient hull:", ", ".join(str(h.group) for h in run.quotient), "\n")
 
 print("== spectral route ==")
-data = SpectralInput(
-    h_omega0=tuple(h.group for h in quotient),
-    h0_t0=ab.FgAbGroup(2, (5,)),
-    omega_class=(0, 0, 1),
-)
-e2, einf, total = spectral_route(data)
+e2, einf, total = run.spectral
 print("second page, row q=1:", [str(e2.entry(p, 1)) for p in range(3)])
 print("second page, row q=0:", [str(e2.entry(p, 0)) for p in range(3)])
 print("stable page, row q=1:", [str(einf.entry(p, 1)) for p in range(3)])
 print("final groups:", ", ".join(str(d.group) for d in total))
 
-assert [d.group for d in total] == [d.group for d in torus]
+assert [d.group for d in total] == [d.group for d in run.torus]
 print("\nboth routes agree.")

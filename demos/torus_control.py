@@ -5,32 +5,17 @@ Run:  python3 demos/torus_control.py
 
 from importlib import resources
 
-from tilecohom import abelian as ab
-from tilecohom.approximant import (
-    build_ap_complex,
-    collar,
-    hull_cohomology,
-    rotation_action,
-)
-from tilecohom.atlas import grow_star_closure
-from tilecohom.tiling import load_system
-from tilecohom.winding import assign_rho, omega_chain
+from tilecohom.pipeline import RunConfig, run_pipeline
 
-system = load_system(str(resources.files("tilecohom") / "systems" / "square.json"))
+path = resources.files("tilecohom") / "systems" / "square.json"
+run = run_pipeline(RunConfig(str(path), route="mapping-torus"))
 print("the labeled square: trivial rotation group, Gaussian-integer coordinates")
 
-atlas = grow_star_closure(system)
-print("atlas counts (tiles, edge stars, vertex stars):", atlas.counts())
-rho = assign_rho(atlas)
-omega = omega_chain(atlas, rho)
-print("all edge rotation values zero:", all(v == 0 for v in rho.values))
-print("winding numbers:", omega.values)
+print("atlas counts (tiles, edge stars, vertex stars):", run.atlas.counts())
+print("all edge rotation values zero:", all(v == 0 for v in run.rho.values))
+print("winding numbers:", run.omega.values)
 
-collared = collar(system)
-cx = build_ap_complex(collared)
-print("approximant cells:", cx.cell_counts, "(one face, two edges, one vertex: a torus)")
-hull = hull_cohomology(cx)
-print("hull cohomology:", ", ".join(str(h.group) for h in hull))
-
-torus = ab.mapping_torus_cohomology(rotation_action(cx, hull))
-print("product with a circle:", ", ".join(str(d.group) for d in torus))
+print("approximant cells:", run.complex.cell_counts,
+      "(one face, two edges, one vertex: a torus)")
+print("hull cohomology:", ", ".join(str(h.group) for h in run.hull))
+print("product with a circle:", ", ".join(str(d.group) for d in run.torus))

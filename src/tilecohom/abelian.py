@@ -575,13 +575,6 @@ class Subquotient:
         hom = GroupHom(self.group, self.group, mat)
         return hom
 
-    def class_of(self, vector) -> np.ndarray:
-        """Canonical coordinates of a cycle given in ambient coordinates."""
-        coords = self._coord_solver.solve(vector)
-        if coords is None:
-            raise ValueError("vector is not a cycle")
-        return self._canon.project.dot(coords)
-
 
 def _reduce_mod_orders(mat: np.ndarray, target: FgAbGroup) -> np.ndarray:
     mat = mat.copy()
@@ -633,9 +626,6 @@ class SubgroupPresentation:
             _canon=canon,
             _membership=LinearSolver(stacked),
         )
-
-    def contains(self, vector) -> bool:
-        return self._membership.solvable(vector)
 
     def restrict(self, f: GroupHom) -> GroupHom:
         """Restrict an ambient endomorphism to this subgroup (must preserve it)."""

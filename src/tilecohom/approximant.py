@@ -26,7 +26,7 @@ from . import abelian as ab
 from . import cyclotomic as cyc
 from .abelian import DirectLimit, DirectSystem, FgAbGroup, GroupHom, Subquotient
 from .atlas import NotClosed
-from .tiling import Patch, Tile, TilingSystem, canonical_key, prototile_patch
+from .tiling import Patch, TilingSystem, canonical_key, prototile_patch
 
 
 class InconsistentIdentification(Exception):
@@ -90,11 +90,6 @@ class _SignedUnionFind:
             if r == x:
                 out.append(x)
         return sorted(out)
-
-
-class _UnionFind(_SignedUnionFind):
-    def union_plain(self, x, y):
-        self.union(x, y, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +299,7 @@ def build_ap_complex(collared: CollaredTiles) -> ApproximantComplex:
     class_rot = _class_rotation_table(collared) if len(rot_steps) > 1 else None
 
     edge_uf = _SignedUnionFind()
-    vertex_uf = _UnionFind()
+    vertex_uf = _SignedUnionFind()
     for ci in range(n_faces):
         for s in range(slot_count[ci]):
             edge_uf.add((ci, s))
@@ -334,7 +329,7 @@ def build_ap_complex(collared: CollaredTiles) -> ApproximantComplex:
             edge_uf.union((ja, ssa), (jb, ssb), -1)
     for pair_a, pair_b in vertex_pairs:
         for (ja, ssa), (jb, ssb) in orbit_pairs(pair_a, pair_b):
-            vertex_uf.union_plain((ja, ssa), (jb, ssb))
+            vertex_uf.union((ja, ssa), (jb, ssb), 1)
 
     edge_roots = edge_uf.roots()
     vertex_roots = vertex_uf.roots()
@@ -652,13 +647,13 @@ def build_symbolic_complex(system: Symbolic1DSystem) -> ApproximantComplex:
     fives = sorted(system.legal_factors(5))
     cell_index = {w: i for i, w in enumerate(triples)}
 
-    uf = _UnionFind()
+    uf = _SignedUnionFind()
     for w in triples:
         uf.add((w, 0))
         uf.add((w, 1))
     for q in sorted(quads):
         left, right = q[:3], q[1:]
-        uf.union_plain((left, 1), (right, 0))
+        uf.union((left, 1), (right, 0), 1)
     vroots = uf.roots()
     vcell = {r: i for i, r in enumerate(vroots)}
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from .tiling import (
     Patch,
     TilingSystem,
-    ValidationError,
     canonical_key,
     matching_motions,
     oriented_edge_key,
@@ -156,15 +155,11 @@ def _build_atlas(pub: Patch, level: int) -> StarAtlas:
     edge_classes: dict[tuple, StarClass] = {}
     for e in cells.complete_edges():
         star, pa, pb = _edge_star(pub, e)
-        k1 = oriented_edge_key(star, pa, pb)
-        k2 = oriented_edge_key(star, pb, pa)
-        key, other = (k1, k2) if k1 <= k2 else (k2, k1)
+        key = min(oriented_edge_key(star, pa, pb), oriented_edge_key(star, pb, pa))
         cls = edge_classes.get(key)
         if cls is None:
             cls = StarClass("edge", -1, key)
             _orient_edge_class(cls, system, key, tile_index)
-            if _should_flip(system, cls):
-                _orient_edge_class(cls, system, other, tile_index)
             edge_classes[key] = cls
         cls.occurrences += 1
     edges = _finalize(edge_classes)
@@ -211,20 +206,6 @@ def _orient_edge_class(cls: StarClass, system, oriented_key: tuple, tile_index: 
     cls.center = center
     cls.tail, cls.head = center[1]
     _fill_edge_flanks(cls, tile_index)
-
-
-def _should_flip(system, cls: StarClass) -> bool:
-    """Fixture-driven reversal of the default (lexicographic) orientation."""
-    selectors = system.fixtures.get("edge_orientation_flips", [])
-    if not selectors:
-        return False
-    flank_labels = sorted(
-        system.prototiles[t.proto].label for t in cls.patch.tiles
-    )
-    for sel in selectors:
-        if sorted(sel.get("flanks", [])) == flank_labels:
-            return True
-    return False
 
 
 def _fill_edge_flanks(cls: StarClass, tile_index: dict):

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: atlas, omega, cohomology, render, compare.  Exit codes:
-0 on success, 1 when any verdict fails, 2 on parse/validation errors.
+0 on success, 1 when any verdict fails, 2 on parse/validation errors and
+on growth that does not close within --max-level.
 """
 
 from __future__ import annotations
@@ -12,13 +13,17 @@ import logging
 import os
 import sys
 
+from .atlas import NotClosed
 from .pipeline import (
     MissingTable,
     RunConfig,
+    atlas_stage,
     compare_routes,
+    figures_stage,
     report_to_json,
     run_pipeline,
-    _write_atomic,
+    start_run,
+    winding_stage,
 )
 from .tiling import ParseError, RuleViolation, ValidationError
 
@@ -33,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("system", help="tiling-system JSON file")
         p.add_argument("--max-level", type=int, default=12,
-                       help="maximum substitution level for closures")
+                       help="maximum substitution level for atlas growth and collaring")
         p.add_argument("--json", metavar="PATH", default=None,
                        help="write the report JSON here")
 
@@ -65,58 +70,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict, json_path: str | None):
-    text = report_to_json(report)
+def _write_atomic(path: str, content: str):
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write(content)
+    os.replace(tmp, path)
+
+
+def _write_files(out_dir: str, documents: dict):
+    os.makedirs(out_dir, exist_ok=True)
+    for name, doc in sorted(documents.items()):
+        _write_atomic(os.path.join(out_dir, name), doc)
+
+
+def _emit(text: str, json_path: str | None):
     if json_path:
         _write_atomic(json_path, text)
     sys.stdout.write(text)
 
 
-def _atlas_command(args, with_omega: bool) -> int:
-    cfg = RunConfig(
-        system_path=args.system,
-        route="mapping-torus",
-        max_level=args.max_level,
-    )
-    # atlas/omega need no hull computation: run the geometric front half only
-    from .atlas import check_isotropy, grow_star_closure
-    from .tiling import load_system
-    from .approximant import Symbolic1DSystem
-    from .winding import assign_rho, dagger_orders, omega_chain
+def _staged_run(args, *stages):
+    """A run of the given front stages only, with the command's settings.
 
-    system = load_system(args.system)
-    if isinstance(system, Symbolic1DSystem):
-        report = {"system": system.name,
-                  "atlas": {"tile_classes": len(system.alphabet)}}
-        _emit(report, args.json)
-        return 0
-    atlas = grow_star_closure(system, max_level=args.max_level)
-    counts = atlas.counts()
-    report = {
-        "system": system.name,
-        "atlas": {
-            "counts": {
-                "tile_classes": counts[0],
-                "edge_star_classes": counts[1],
-                "vertex_star_classes": counts[2],
-            },
-            "closure_level": atlas.closure_level,
-            "orders": list(dagger_orders(atlas)),
-            "isotropy": check_isotropy(atlas)["isotropy"],
-        },
-    }
-    if with_omega:
-        rho = assign_rho(atlas)
-        omega = omega_chain(atlas, rho)
-        report["rho"] = [
-            {"edge_class": i, "turns": [rho[i].numerator, rho[i].denominator]}
-            for i in range(len(atlas.edge_classes))
-        ]
-        report["omega"] = [
-            {"vertex_class": i, "winding": omega[i]}
-            for i in range(len(atlas.vertex_classes))
-        ]
-    _emit(report, args.json)
+    A symbolic system has no atlas: its run stops at the alphabet.
+    """
+    run = start_run(RunConfig(args.system, max_level=args.max_level))
+    if not run.symbolic:
+        for stage in stages:
+            stage(run)
+    return run
+
+
+def _atlas_command(args, with_omega: bool) -> int:
+    stages = (atlas_stage, winding_stage) if with_omega else (atlas_stage,)
+    report = _staged_run(args, *stages).report
+    keys = ("system", "atlas", "rho", "omega")
+    _emit(report_to_json({k: report[k] for k in keys if k in report}), args.json)
     return 0
 
 
@@ -128,30 +117,23 @@ def _cohomology_command(args) -> int:
         system_path=args.system,
         route=args.route,
         max_level=args.max_level,
-        out_dir=args.out,
         emit_svg=args.svg,
         fixture_overrides=overrides,
     )
-    report = run_pipeline(cfg)
-    _emit(report, args.json)
-    return 0 if report["passed"] else 1
+    run = run_pipeline(cfg)
+    text = report_to_json(run.report)
+    if args.out:
+        _write_files(args.out, {"report.json": text, **(run.figures or {})})
+    _emit(text, args.json)
+    return 0 if run.report["passed"] else 1
 
 
 def _render_command(args) -> int:
-    from .atlas import grow_star_closure
-    from .svg import render_star_svg
-    from .tiling import load_system
-    from .winding import assign_rho, omega_chain
-
-    system = load_system(args.system)
-    atlas = grow_star_closure(system, max_level=args.max_level)
-    rho = assign_rho(atlas)
-    omega = omega_chain(atlas, rho)
-    documents = render_star_svg(atlas, rho=rho, omega=omega)
-    os.makedirs(args.out, exist_ok=True)
-    for name, doc in sorted(documents.items()):
-        _write_atomic(os.path.join(args.out, name), doc)
-    sys.stdout.write(f"wrote {len(documents)} SVG files to {args.out}\n")
+    run = _staged_run(args, atlas_stage, winding_stage, figures_stage)
+    if run.symbolic:
+        raise ValidationError("render needs a two-dimensional system")
+    _write_files(args.out, run.figures)
+    sys.stdout.write(f"wrote {len(run.figures)} SVG files to {args.out}\n")
     return 0
 
 
@@ -185,7 +167,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return _compare_command(args)
         parser.error("unknown command")
-    except (ParseError, ValidationError, RuleViolation, MissingTable,
+    except (ParseError, ValidationError, RuleViolation, MissingTable, NotClosed,
             json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

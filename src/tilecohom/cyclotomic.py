@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, gcd, pi, sin
+from math import cos, pi, sin
 
 
 class MixedOrder(Exception):
@@ -198,9 +198,6 @@ class CycNum:
     def __rmul__(self, other) -> "CycNum":
         return self.__mul__(other)
 
-    def rotated(self, k: int) -> "CycNum":
-        return CycNum(self.n, rotate_coeffs(self.n, self.coeffs, k))
-
     def conjugate(self) -> "CycNum":
         out = zero_coeffs(self.n)
         for j, c in enumerate(self.coeffs):
@@ -229,16 +226,6 @@ class CycNum:
 
     def __repr__(self) -> str:
         return f"CycNum({self.n}, {list(self.coeffs)})"
-
-
-def cyc_reduce(n: int, raw) -> CycNum:
-    """Canonical representative of an integer coefficient vector modulo Phi_N."""
-    return CycNum(n, raw)
-
-
-def real_embed(c: CycNum) -> complex:
-    """Floating evaluation at exp(2*pi*i/N); rendering and sorting only."""
-    return c.embed()
 
 
 @dataclass(frozen=True)
@@ -292,14 +279,3 @@ class RigidMotion:
     def is_identity(self) -> bool:
         return self.rot == 0 and not any(self.trans)
 
-
-def motion_apply(m: RigidMotion, p: CycNum) -> CycNum:
-    return m.apply(p)
-
-
-def motion_compose(a: RigidMotion, b: RigidMotion) -> RigidMotion:
-    return a.compose(b)
-
-
-def motion_invert(a: RigidMotion) -> RigidMotion:
-    return a.invert()

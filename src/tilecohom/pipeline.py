@@ -1,5 +1,10 @@
 """Batch orchestration: load a system, run either route or both, report.
 
+``run_pipeline`` returns a ``Run`` that holds the result of every stage
+once; the CLI, the demos and the test fixtures all read from it, and the
+``atlas``, ``omega`` and ``render`` subcommands run the same stage
+functions on their own.  Writing files is left to the caller.
+
 Reports are plain dictionaries serialized as canonical JSON (sorted keys,
 fixed indentation) so that a fixed configuration and package version
 produce byte-identical output.  Wall-clock timings therefore go to the
@@ -10,14 +15,16 @@ from __future__ import annotations
 
 import json
 import logging
-import os
+import math
 import time
 from dataclasses import dataclass, field
 
 from . import abelian as ab
 from . import spectral as sp
-from .abelian import FgAbGroup
+from .abelian import FgAbGroup, GroupHom, MappingTorusDegree
 from .approximant import (
+    ApproximantComplex,
+    HullDegree,
     Symbolic1DSystem,
     build_ap_complex,
     build_symbolic_complex,
@@ -26,9 +33,11 @@ from .approximant import (
     quotient_cohomology,
     rotation_action,
 )
-from .atlas import check_isotropy, grow_star_closure
-from .tiling import ParseError, TilingSystem, ValidationError, load_system
+from .atlas import StarAtlas, check_isotropy, grow_star_closure
+from .tiling import TilingSystem, ValidationError, load_system
 from .winding import (
+    RhoAssignment,
+    WindingChain,
     assign_rho,
     atlas_boundary,
     dagger_orders,
@@ -48,15 +57,41 @@ class MissingTable(Exception):
 class RunConfig:
     system_path: str
     route: str = "both"  # "spectral" | "mapping-torus" | "both"
-    max_level: int = 12
-    max_stages: int = 20
-    out_dir: str | None = None
+    max_level: int = 12  # bounds atlas growth and collaring
     emit_svg: bool = False
     fixture_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.route not in ("spectral", "mapping-torus", "both"):
             raise ValidationError(f"unknown route {self.route!r}")
+
+
+@dataclass
+class Run:
+    """The result of every stage of one run; stages a route skips stay None.
+
+    The collared tiles are not kept: their class count and level are in
+    ``complex.labels``, and their patches are the largest objects a run
+    makes.
+    """
+
+    config: RunConfig
+    system: TilingSystem | Symbolic1DSystem
+    report: dict
+    atlas: StarAtlas | None = None
+    rho: RhoAssignment | None = None
+    omega: WindingChain | None = None
+    complex: ApproximantComplex | None = None
+    hull: list[HullDegree] | None = None
+    rotation: list[GroupHom] | None = None
+    torus: list[MappingTorusDegree] | None = None
+    quotient: list[HullDegree] | None = None
+    spectral: tuple | None = None  # (second page, stable page, total degrees)
+    figures: dict | None = None  # SVG documents by file name
+
+    @property
+    def symbolic(self) -> bool:
+        return isinstance(self.system, Symbolic1DSystem)
 
 
 def group_json(g: FgAbGroup) -> dict:
@@ -72,77 +107,79 @@ def matrix_json(mat) -> list:
     return [[int(x) for x in row] for row in mat]
 
 
-def run_pipeline(cfg: RunConfig) -> dict:
-    """Execute the configured routes and return the report dictionary."""
+def run_pipeline(cfg: RunConfig) -> Run:
+    """Execute the configured routes; the report is ``run.report``.
+
+    This is where the stages are chosen: a symbolic system has no atlas,
+    so it runs only the complex and mapping-torus stages.
+    """
     t0 = time.time()
+    run = start_run(cfg)
+    if run.symbolic:
+        if cfg.route == "spectral":
+            raise ValidationError("the spectral route needs a two-dimensional system")
+        run.complex = cx = build_symbolic_complex(run.system)
+        mapping_torus_stage(run)
+        run.report["routes"]["mapping_torus"]["collared_cells"] = cx.labels.get(
+            "collared_letters")
+    else:
+        atlas_stage(run)
+        winding_stage(run)
+        if cfg.route != "spectral":
+            run.complex = build_ap_complex(collar(run.system, max_level=cfg.max_level))
+            mapping_torus_stage(run)
+            quotient_stage(run)
+        if cfg.route != "mapping-torus":
+            spectral_stage(run)
+        if cfg.emit_svg:
+            figures_stage(run)
+    run.report["passed"] = all(v["passed"] for v in run.report["verdicts"])
+    log.info("pipeline finished in %.1fs", time.time() - t0)
+    return run
+
+
+def start_run(cfg: RunConfig) -> Run:
+    """Load the system and open its report; no stage has run yet.
+
+    A symbolic system's atlas is its alphabet, known on loading.
+    """
     system = load_system(cfg.system_path)
-    report: dict = {
+    report = {
         "system": getattr(system, "name", "unknown"),
         "version": __version__,
         "config": {"route": cfg.route, "max_level": cfg.max_level},
         "verdicts": [],
+        "routes": {},
     }
-    verdicts = report["verdicts"]
-
-    if isinstance(system, Symbolic1DSystem):
-        _run_symbolic(cfg, system, report)
-    else:
-        _run_geometric(cfg, system, report)
-
-    report["passed"] = all(v["passed"] for v in verdicts)
-    log.info("pipeline finished in %.1fs", time.time() - t0)
-
-    if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        _write_atomic(
-            os.path.join(cfg.out_dir, "report.json"), report_to_json(report)
-        )
-        for name, doc in report.pop("_svg_documents", {}).items():
-            _write_atomic(os.path.join(cfg.out_dir, name), doc)
-    else:
-        report.pop("_svg_documents", None)
-    return report
+    run = Run(cfg, system, report)
+    if run.symbolic:
+        report["atlas"] = {"tile_classes": len(system.alphabet)}
+    return run
 
 
-def _run_symbolic(cfg: RunConfig, system: Symbolic1DSystem, report: dict):
-    if cfg.route == "spectral":
-        raise ValidationError("the spectral route needs a two-dimensional system")
-    report["atlas"] = {"tile_classes": len(system.alphabet)}
-    cx = build_symbolic_complex(system)
-    hull = hull_cohomology(cx, max_stages=cfg.max_stages)
-    rot = rotation_action(cx, hull)
-    torus = ab.mapping_torus_cohomology(rot)
-    report["routes"] = {
-        "mapping_torus": {
-            "collared_cells": cx.labels.get("collared_letters"),
-            "hull": [group_json(h.group) for h in hull],
-            "stabilization_stages": [h.stage for h in hull],
-            "invar": [group_json(ab.invariants_of(r)) for r in rot],
-            "coinvar": [group_json(ab.coinvariants_of(r)) for r in rot],
-            "groups": [group_json(d.group) for d in torus],
-            "flags": [d.extension_ambiguous for d in torus],
-        }
-    }
-
-
-def _run_geometric(cfg: RunConfig, system: TilingSystem, report: dict):
-    verdicts = report["verdicts"]
-    atlas = grow_star_closure(system, max_level=cfg.max_level)
-    isotropy = check_isotropy(atlas)
-    rho = assign_rho(atlas)
-    omega = omega_chain(atlas, rho)
-    orders = dagger_orders(atlas)
+def atlas_stage(run: Run):
+    """Star atlas and isotropy check of a two-dimensional system."""
+    atlas = grow_star_closure(run.system, max_level=run.config.max_level)
     counts = atlas.counts()
-    report["atlas"] = {
+    run.atlas = atlas
+    run.report["atlas"] = {
         "counts": {
             "tile_classes": counts[0],
             "edge_star_classes": counts[1],
             "vertex_star_classes": counts[2],
         },
         "closure_level": atlas.closure_level,
-        "orders": list(orders),
-        "isotropy": isotropy["isotropy"],
+        "orders": list(dagger_orders(atlas)),
+        "isotropy": check_isotropy(atlas)["isotropy"],
     }
+
+
+def winding_stage(run: Run):
+    """Edge rotation values, the winding chain and its coboundary check."""
+    atlas = run.atlas
+    run.rho = rho = assign_rho(atlas)
+    run.omega = omega = omega_chain(atlas, rho)
+    report = run.report
     report["rho"] = [
         {
             "edge_class": cls.index,
@@ -153,104 +190,87 @@ def _run_geometric(cfg: RunConfig, system: TilingSystem, report: dict):
         for cls in atlas.edge_classes
     ]
     report["omega"] = [
-        {"vertex_class": i, "winding": omega[i], "symmetry_order": orders[i]}
-        for i in range(len(atlas.vertex_classes))
+        {"vertex_class": cls.index, "winding": omega[cls.index],
+         "symmetry_order": cls.symmetry_order}
+        for cls in atlas.vertex_classes
     ]
     report["boundary_matrices"] = {
         "degree_1": matrix_json(atlas_boundary(atlas, 1)),
         "degree_2": matrix_json(atlas_boundary(atlas, 2)),
     }
     cob = rational_coboundary_check(atlas, rho, omega)
-    verdicts.append({"name": "rational_coboundary", "passed": cob["passed"],
-                     "details": cob})
+    report["verdicts"].append({"name": "rational_coboundary", "passed": cob["passed"],
+                               "details": cob})
 
-    fixtures = dict(system.fixtures)
-    fixtures.update(cfg.fixture_overrides)
-    routes: dict = {}
-    report["routes"] = routes
 
-    torus_groups = None
-    quotient_groups = None
-    if cfg.route in ("mapping-torus", "both"):
-        collared = collar(system, max_level=max(cfg.max_level, 14))
-        cx = build_ap_complex(collared)
-        hull = hull_cohomology(cx, max_stages=cfg.max_stages)
-        rot = rotation_action(cx, hull)
-        torus = ab.mapping_torus_cohomology(rot)
-        quot = quotient_cohomology(cx, max_stages=cfg.max_stages)
-        torus_groups = [d.group for d in torus]
-        quotient_groups = [h.group for h in quot]
-        routes["mapping_torus"] = {
-            "collared_classes": collared.count,
-            "collar_level": collared.level,
+def mapping_torus_stage(run: Run):
+    """Hull cohomology of ``run.complex``, its rotation action and mapping torus."""
+    cx = run.complex
+    run.hull = hull = hull_cohomology(cx)
+    run.rotation = rotation_action(cx, hull)
+    run.torus = torus = ab.mapping_torus_cohomology(run.rotation)
+    run.report["routes"]["mapping_torus"] = {
+        "hull": [group_json(h.group) for h in hull],
+        "stabilization_stages": [h.stage for h in hull],
+        # torus degree k sits between the coinvariants of k - 1 and the invariants of k
+        "invar": [group_json(d.invariants) for d in torus[:-1]],
+        "coinvar": [group_json(d.coinvariants_below) for d in torus[1:]],
+        "groups": [group_json(d.group) for d in torus],
+        "flags": [d.extension_ambiguous for d in torus],
+    }
+
+
+def quotient_stage(run: Run):
+    """Quotient hull of a collared complex, checked against the invariant ranks.
+
+    A complex without a rotation is its own quotient.
+    """
+    cx, torus = run.complex, run.torus
+    run.quotient = quot = run.hull if cx.rotation is None else quotient_cohomology(cx)
+    run.report["routes"]["mapping_torus"].update(
+        collared_classes=cx.labels["collared_classes"],
+        collar_level=cx.labels["collar_level"],
+        cells=cx.cell_counts,
+        quotient_hull=[group_json(h.group) for h in quot],
+        complex={
             "cells": cx.cell_counts,
-            "hull": [group_json(h.group) for h in hull],
-            "stabilization_stages": [h.stage for h in hull],
-            "invar": [group_json(ab.invariants_of(r)) for r in rot],
-            "coinvar": [group_json(ab.coinvariants_of(r)) for r in rot],
-            "groups": [group_json(g) for g in torus_groups],
-            "flags": [d.extension_ambiguous for d in torus],
-            "quotient_hull": [group_json(g) for g in quotient_groups],
-            "complex": {
-                "cells": cx.cell_counts,
-                "boundary": [matrix_json(b) for b in cx.boundary],
-                "self_map": [matrix_json(s) for s in cx.self_map],
-            },
-        }
-        ranks_match = all(
-            ab.invariants_of(r).free_rank == g.free_rank
-            for r, g in zip(rot, quotient_groups)
-        )
-        verdicts.append({
-            "name": "quotient_rank_equals_invariant_rank",
-            "passed": ranks_match,
-            "details": {},
-        })
-
-    if cfg.route in ("spectral", "both"):
-        spectral_report, spectral_groups = _run_spectral(
-            fixtures, quotient_groups, verdicts
-        )
-        routes["spectral"] = spectral_report
-        order = spectral_report["omega_order"]
-        order_product = 1
-        for n in orders:
-            order_product *= n
-        verdicts.append({
-            "name": "omega_order_divides_symmetry_orders",
-            "passed": order != 0 and order_product % order == 0,
-            "details": {"omega_order": order, "symmetry_product": order_product},
-        })
-        if torus_groups is not None:
-            agreement = compare_tables(
-                [group_json(g) for g in spectral_groups],
-                routes["mapping_torus"]["groups"],
-            )
-            verdicts.append({"name": "route_agreement", **agreement})
-
-    if cfg.emit_svg:
-        from .svg import render_star_svg
-
-        report["_svg_documents"] = render_star_svg(atlas, rho=rho, omega=omega)
+            "boundary": [matrix_json(b) for b in cx.boundary],
+            "self_map": [matrix_json(s) for s in cx.self_map],
+        },
+    )
+    run.report["verdicts"].append({
+        "name": "quotient_rank_equals_invariant_rank",
+        "passed": all(d.invariants.free_rank == q.group.free_rank
+                      for d, q in zip(torus, quot)),
+        "details": {},
+    })
 
 
-def _run_spectral(fixtures: dict, quotient_groups, verdicts):
+def spectral_stage(run: Run):
+    """Second page, stable page and total cohomology of the spectral route.
+
+    The quotient-hull groups come from the mapping-torus stage when it ran
+    and from the ``h_omega0`` fixture otherwise.
+    """
+    fixtures = dict(run.system.fixtures)
+    fixtures.update(run.config.fixture_overrides)
+    verdicts = run.report["verdicts"]
     if "h0_T0" not in fixtures or "omega_class" not in fixtures:
         raise ValidationError(
             "the spectral route needs h0_T0 and omega_class fixtures"
         )
     h0_t0 = group_from_json(fixtures["h0_T0"])
     omega_class = [int(x) for x in fixtures["omega_class"]]
-    if quotient_groups is not None:
-        h_omega0 = quotient_groups
+    if run.quotient is not None:
+        h_omega0 = [h.group for h in run.quotient]
         if "h_omega0" in fixtures:
             fixture_groups = [group_from_json(g) for g in fixtures["h_omega0"]]
             verdicts.append({
                 "name": "quotient_matches_fixture",
-                "passed": fixture_groups == list(quotient_groups),
+                "passed": fixture_groups == h_omega0,
                 "details": {
                     "fixture": [str(g) for g in fixture_groups],
-                    "computed": [str(g) for g in quotient_groups],
+                    "computed": [str(g) for g in h_omega0],
                 },
             })
     elif "h_omega0" in fixtures:
@@ -262,24 +282,42 @@ def _run_spectral(fixtures: dict, quotient_groups, verdicts):
         )
     try:
         data = sp.SpectralInput(tuple(h_omega0), h0_t0, tuple(omega_class))
-        e2, einf, total = sp.spectral_route(data)
+        run.spectral = sp.spectral_route(data)
     except (ValueError, sp.RankMismatch) as exc:
         raise ValidationError(f"inconsistent spectral fixtures: {exc}") from exc
+    e2, einf, total = run.spectral
     collapse = sp.rational_collapse_check(data)
     verdicts.append({"name": "rational_collapse", "passed": collapse["passed"],
                      "details": collapse})
-    groups = [d.group for d in total]
     page_json = lambda page: {
         "q1": [group_json(page.entry(p, 1)) for p in range(3)],
         "q0": [group_json(page.entry(p, 0)) for p in range(3)],
     }
-    return {
+    groups = [group_json(d.group) for d in total]
+    order = sp.class_order(h0_t0, omega_class)
+    run.report["routes"]["spectral"] = {
         "E2": page_json(e2),
         "Einf": page_json(einf),
-        "groups": [group_json(g) for g in groups],
+        "groups": groups,
         "flags": [d.extension_ambiguous for d in total],
-        "omega_order": sp.class_order(h0_t0, omega_class),
-    }, groups
+        "omega_order": order,
+    }
+    order_product = math.prod(dagger_orders(run.atlas))
+    verdicts.append({
+        "name": "omega_order_divides_symmetry_orders",
+        "passed": order != 0 and order_product % order == 0,
+        "details": {"omega_order": order, "symmetry_product": order_product},
+    })
+    if run.torus is not None:
+        agreement = compare_tables(groups, run.report["routes"]["mapping_torus"]["groups"])
+        verdicts.append({"name": "route_agreement", **agreement})
+
+
+def figures_stage(run: Run):
+    """One SVG document per star class."""
+    from .svg import render_star_svg
+
+    run.figures = render_star_svg(run.atlas, rho=run.rho, omega=run.omega)
 
 
 def compare_tables(groups1: list, groups2: list) -> dict:
@@ -311,12 +349,4 @@ def _final_groups(report: dict):
 
 
 def report_to_json(report: dict) -> str:
-    clean = {k: v for k, v in report.items() if not k.startswith("_")}
-    return json.dumps(clean, sort_keys=True, indent=1) + "\n"
-
-
-def _write_atomic(path: str, content: str):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(content)
-    os.replace(tmp, path)
+    return json.dumps(report, sort_keys=True, indent=1) + "\n"

@@ -114,13 +114,6 @@ def apply_d2(page: SpectralPage, omega_class, h0_t0: FgAbGroup) -> SpectralPage:
     return SpectralPage(entries=entries, page=3)
 
 
-def advance(page: SpectralPage) -> SpectralPage:
-    """Pages beyond the third never change: no differential fits the window."""
-    if page.page < 3:
-        raise ValueError("advance only applies from the stable page on")
-    return SpectralPage(entries=dict(page.entries), page=page.page + 1)
-
-
 @dataclass(frozen=True)
 class TotalDegree:
     cech_degree: int

@@ -53,13 +53,11 @@ class WindingChain:
         return tuple(sorted(self.values))
 
 
-def assign_rho(atlas: StarAtlas, convention: str = "minimal", offsets=None) -> RhoAssignment:
+def assign_rho(atlas: StarAtlas) -> RhoAssignment:
     """Rho per edge class: left tau minus right tau, lifted to a small rational.
 
-    The minimal convention picks the representative of magnitude <= 1/2
-    turn, anticlockwise positive, with ties broken positive.  `offsets`
-    (edge class index -> integer turns) supports custom conventions; the
-    defining congruence mod full turns is preserved either way.
+    The lift is the representative of magnitude <= 1/2 turn, anticlockwise
+    positive, with ties broken positive.
     """
     n = atlas.system.n
     values = []
@@ -68,12 +66,7 @@ def assign_rho(atlas: StarAtlas, convention: str = "minimal", offsets=None) -> R
             raise IsotropyRequired("edge class lacks flank data")
         diff = (cls.left_tau - cls.right_tau) % n
         steps = diff if 2 * diff <= n else diff - n
-        rho = Fraction(steps, n)
-        if convention == "custom" and offsets:
-            rho += offsets.get(cls.index, 0)
-        elif convention not in ("minimal", "custom"):
-            raise ValueError(f"unknown convention {convention!r}")
-        values.append(rho)
+        values.append(Fraction(steps, n))
     return RhoAssignment(tuple(values))
 
 

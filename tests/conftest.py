@@ -1,21 +1,16 @@
-"""Shared fixtures: heavy computations run once per session, with timings."""
+"""Shared fixtures: one pipeline run per system and session, with timings."""
 
 import json
+import os
 import time
 from importlib import resources
 
 import pytest
 
+import tilecohom
 from tilecohom import abelian as ab
-from tilecohom.approximant import (
-    build_ap_complex,
-    build_symbolic_complex,
-    collar,
-    hull_cohomology,
-    quotient_cohomology,
-    rotation_action,
-)
 from tilecohom.atlas import grow_star_closure
+from tilecohom.pipeline import RunConfig, run_pipeline
 from tilecohom.tiling import load_system
 from tilecohom.winding import assign_rho, omega_chain
 
@@ -35,6 +30,14 @@ def as_group(pair) -> ab.FgAbGroup:
     return ab.FgAbGroup(rank, tuple(torsion))
 
 
+def subprocess_env(**extra) -> dict:
+    """Environment for a child interpreter that imports this same tilecohom."""
+    paths = [os.path.dirname(os.path.dirname(tilecohom.__file__))]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths), **extra)
+
+
 @pytest.fixture(scope="session")
 def penrose_system():
     return load_system(system_path("penrose"))
@@ -43,11 +46,6 @@ def penrose_system():
 @pytest.fixture(scope="session")
 def square_system():
     return load_system(system_path("square"))
-
-
-@pytest.fixture(scope="session")
-def fibonacci_system():
-    return load_system(system_path("fibonacci"))
 
 
 @pytest.fixture(scope="session")
@@ -65,61 +63,29 @@ def penrose_rho_omega(penrose_atlas):
     return rho, omega
 
 
+# wall time of each timed session fixture's set-up, by fixture name
+SETUP_SECONDS = {}
+
+
 @pytest.fixture(scope="session")
-def penrose_hull_route(penrose_system):
-    """Collar, complex, hull, rotation, quotient; timed for the acceptance gate."""
+def penrose_run():
+    """Both routes on Penrose, timed for the acceptance gate."""
     t0 = time.time()
-    collared = collar(penrose_system)
-    cx = build_ap_complex(collared)
-    hull = hull_cohomology(cx)
-    rot = rotation_action(cx, hull)
-    quotient = quotient_cohomology(cx)
-    elapsed = time.time() - t0
-    return {
-        "collared": collared,
-        "complex": cx,
-        "hull": hull,
-        "rotation": rot,
-        "quotient": quotient,
-        "elapsed_seconds": elapsed,
-    }
+    run = run_pipeline(RunConfig(system_path("penrose"), route="both"))
+    SETUP_SECONDS["penrose_run"] = time.time() - t0
+    return run
 
 
 @pytest.fixture(scope="session")
-def square_atlas(square_system):
-    return grow_star_closure(square_system)
+def penrose_run_seconds(penrose_run):
+    return SETUP_SECONDS["penrose_run"]
 
 
 @pytest.fixture(scope="session")
-def square_hull_route(square_system):
-    collared = collar(square_system)
-    cx = build_ap_complex(collared)
-    hull = hull_cohomology(cx)
-    rot = rotation_action(cx, hull)
-    quotient = quotient_cohomology(cx)
-    return {
-        "collared": collared,
-        "complex": cx,
-        "hull": hull,
-        "rotation": rot,
-        "quotient": quotient,
-    }
-
-
-@pytest.fixture(scope="session")
-def fibonacci_complex(fibonacci_system):
-    return build_symbolic_complex(fibonacci_system)
-
-
-@pytest.fixture(scope="session")
-def penrose_report():
-    from tilecohom.pipeline import RunConfig, run_pipeline
-
-    return run_pipeline(RunConfig(system_path("penrose"), route="both"))
-
-
-@pytest.fixture(scope="session")
-def square_report_acc():
-    from tilecohom.pipeline import RunConfig, run_pipeline
-
+def square_run():
     return run_pipeline(RunConfig(system_path("square"), route="both"))
+
+
+@pytest.fixture(scope="session")
+def fibonacci_run():
+    return run_pipeline(RunConfig(system_path("fibonacci"), route="mapping-torus"))

@@ -9,17 +9,9 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import as_group, expected_values, system_path
 from tilecohom import abelian as ab
 from tilecohom.abelian import FgAbGroup
-from tilecohom.pipeline import RunConfig, compare_routes, run_pipeline
-from tilecohom.winding import (
-    assign_rho,
-    atlas_boundary,
-    dagger_orders,
-    omega_chain,
-    rational_coboundary_check,
-)
+from tilecohom.winding import dagger_orders, omega_chain, rational_coboundary_check
 
 
 def report(criterion: int, text: str):
@@ -52,18 +44,18 @@ def test_criterion_03_omega_values(penrose_atlas, penrose_rho_omega):
               "integral, boundary identity exact")
 
 
-def test_criterion_04_translational_hull(penrose_hull_route):
-    groups = [h.group for h in penrose_hull_route["hull"]]
+def test_criterion_04_translational_hull(penrose_run, penrose_run_seconds):
+    groups = [h.group for h in penrose_run.hull]
     assert groups == [FgAbGroup(1), FgAbGroup(5), FgAbGroup(8)]
-    stages = [h.stage for h in penrose_hull_route["hull"]]
+    stages = [h.stage for h in penrose_run.hull]
     assert all(s <= 20 for s in stages)
-    assert penrose_hull_route["elapsed_seconds"] < 300.0
+    assert penrose_run_seconds < 300.0
     report(4, f"hull cohomology Z, Z^5, Z^8; stages {stages}; "
-              f"{penrose_hull_route['elapsed_seconds']:.1f}s")
+              f"whole run {penrose_run_seconds:.1f}s")
 
 
-def test_criterion_05_rotation_action(penrose_hull_route):
-    rot = penrose_hull_route["rotation"]
+def test_criterion_05_rotation_action(penrose_run):
+    rot = penrose_run.rotation
     assert [ab.invariants_of(r) for r in rot] == [
         FgAbGroup(1), FgAbGroup(1), FgAbGroup(2),
     ]
@@ -77,20 +69,20 @@ def test_criterion_05_rotation_action(penrose_hull_route):
               "identity has one zero divisor, all others units")
 
 
-def test_criterion_06_final_answer_both_routes(penrose_report):
-    spectral = penrose_report["routes"]["spectral"]
-    torus = penrose_report["routes"]["mapping_torus"]
+def test_criterion_06_final_answer_both_routes(penrose_run):
+    spectral = penrose_run.report["routes"]["spectral"]
+    torus = penrose_run.report["routes"]["mapping_torus"]
     final = [[1, []], [2, []], [3, []], [2, []]]
     assert [[g["rank"], g["torsion"]] for g in spectral["groups"]] == final
     assert [[g["rank"], g["torsion"]] for g in torus["groups"]] == final
     assert not any(spectral["flags"]) and not any(torus["flags"])
-    agreement = [v for v in penrose_report["verdicts"] if v["name"] == "route_agreement"]
+    agreement = [v for v in penrose_run.report["verdicts"] if v["name"] == "route_agreement"]
     assert agreement and agreement[0]["passed"]
     report(6, "both routes give Z, Z^2, Z^3, Z^2 with no extension flags")
 
 
-def test_criterion_07_spectral_internals(penrose_report):
-    spectral = penrose_report["routes"]["spectral"]
+def test_criterion_07_spectral_internals(penrose_run):
+    spectral = penrose_run.report["routes"]["spectral"]
     assert spectral["E2"]["q1"] == [
         {"rank": 2, "torsion": [5]}, {"rank": 1, "torsion": []}, {"rank": 1, "torsion": []},
     ]
@@ -104,16 +96,15 @@ def test_criterion_07_spectral_internals(penrose_report):
               "the 5-torsion killed by the winding class")
 
 
-def test_criterion_08_quotient_route(penrose_hull_route):
-    quotient = [h.group for h in penrose_hull_route["quotient"]]
+def test_criterion_08_quotient_route(penrose_run):
+    quotient = [h.group for h in penrose_run.quotient]
     assert quotient == [FgAbGroup(1), FgAbGroup(1), FgAbGroup(2)]
-    for r, q in zip(penrose_hull_route["rotation"], quotient):
+    for r, q in zip(penrose_run.rotation, quotient):
         assert ab.invariants_of(r).free_rank == q.free_rank
     report(8, "quotient hull Z, Z, Z^2 with invariant ranks matching")
 
 
-def test_criterion_09_property_suites(penrose_hull_route, square_hull_route,
-                                       penrose_report, square_report_acc):
+def test_criterion_09_property_suites(penrose_run, square_run):
     t0 = time.time()
     rng = random.Random(20260809)
     checked = 0
@@ -130,8 +121,8 @@ def test_criterion_09_property_suites(penrose_hull_route, square_hull_route,
         checked += 1
     assert checked >= 1000
 
-    for route in (penrose_hull_route, square_hull_route):
-        route["complex"].validate()  # boundary squared zero and chain maps
+    for run in (penrose_run, square_run):
+        run.complex.validate()  # boundary squared zero and chain maps
 
     for _ in range(100):
         n, p = 4, 4
@@ -152,10 +143,10 @@ def test_criterion_09_property_suites(penrose_hull_route, square_hull_route,
     point = ab.mapping_torus_cohomology([ab.GroupHom.identity(FgAbGroup(1))])
     assert [d.group for d in point] == [FgAbGroup(1), FgAbGroup(1)]
 
-    torus = ab.mapping_torus_cohomology(penrose_hull_route["rotation"])
+    torus = ab.mapping_torus_cohomology(penrose_run.rotation)
     assert sum((-1) ** d.degree * d.group.free_rank for d in torus) == 0
 
-    for rep in (penrose_report, square_report_acc):
+    for rep in (penrose_run.report, square_run.report):
         collapse = [v for v in rep["verdicts"] if v["name"] == "rational_collapse"]
         assert collapse and collapse[0]["passed"]
 
@@ -165,13 +156,13 @@ def test_criterion_09_property_suites(penrose_hull_route, square_hull_route,
               f"circle, Euler 0, collapse checks in {elapsed:.1f}s")
 
 
-def test_criterion_10_periodic_control(square_report_acc, square_hull_route):
-    hull = [h.group for h in square_hull_route["hull"]]
+def test_criterion_10_periodic_control(square_run):
+    hull = [h.group for h in square_run.hull]
     assert hull == [FgAbGroup(1), FgAbGroup(2), FgAbGroup(1)]
     torus = [[g["rank"], g["torsion"]]
-             for g in square_report_acc["routes"]["mapping_torus"]["groups"]]
+             for g in square_run.report["routes"]["mapping_torus"]["groups"]]
     assert torus == [[1, []], [3, []], [3, []], [1, []]]
-    omega = [entry["winding"] for entry in square_report_acc["omega"]]
+    omega = [entry["winding"] for entry in square_run.report["omega"]]
     assert set(omega) == {0}
     report(10, "periodic control: torus hull Z, Z^2, Z; mapping torus "
                "Z, Z^3, Z^3, Z; winding identically zero")

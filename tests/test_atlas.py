@@ -88,15 +88,15 @@ class TestPenroseAtlas:
 
 
 class TestSquareAtlas:
-    def test_counts(self, square_atlas):
+    def test_counts(self, square_run):
         expected = expected_values("square")
-        assert list(square_atlas.counts()) == expected["atlas_counts"]
+        assert list(square_run.atlas.counts()) == expected["atlas_counts"]
 
-    def test_single_vertex_class_has_order_one(self, square_atlas):
-        assert dagger_orders(square_atlas) == (1,)
+    def test_single_vertex_class_has_order_one(self, square_run):
+        assert dagger_orders(square_run.atlas) == (1,)
 
-    def test_isotropy_vacuous_for_trivial_group(self, square_atlas):
-        assert check_isotropy(square_atlas)["isotropy"] == "trivial"
+    def test_isotropy_vacuous_for_trivial_group(self, square_run):
+        assert check_isotropy(square_run.atlas)["isotropy"] == "trivial"
 
 
 def undecorated_square_system():

@@ -1,11 +1,17 @@
 """Batch pipeline, report determinism, SVG rendering, and the CLI surface."""
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from conftest import system_path
+from conftest import subprocess_env, system_path
+from tilecohom import abelian as ab
 from tilecohom.cli import main
 from tilecohom.pipeline import (
     MissingTable,
@@ -15,15 +21,26 @@ from tilecohom.pipeline import (
     run_pipeline,
 )
 
-
-@pytest.fixture(scope="module")
-def square_report():
-    return run_pipeline(RunConfig(system_path("square"), route="both"))
+# sha256 of the report bytes as of commit ecad0f9, and the session runs that hold them
+PINNED_REPORTS = {
+    ("square", "both"):
+        ("9588b5f91b29c449faebbba0b8a3f23dbe18619663d7156804dbf965336ac8ae", "square_run"),
+    ("square", "spectral"):
+        ("148c74a141cfb6bb9dbc4a7151f46e212fa4d8d58233b1287271a6f889526b53", None),
+    ("square", "mapping-torus"):
+        ("f5f16713d2af7a8813e8619bb3046a34bb9e5094b0eec04de6d1399caed1c280", None),
+    ("fibonacci", "both"):
+        ("14b9d61a70ba31f4c5ee97f4dc0371571636488f70d6586e68dce1d991a45ede", None),
+    ("fibonacci", "mapping-torus"):
+        ("a855ec7531886572c73303f58552fc3e2165c9992b4c3f0cd7e973676376b367", "fibonacci_run"),
+    ("penrose", "both"):
+        ("b2c2a1e38ba2b29788802a3948faaf6d37e24b6a8ace91feb17690437bce258b", "penrose_run"),
+}
 
 
 class TestPipeline:
-    def test_square_both_routes(self, square_report):
-        report = square_report
+    def test_square_both_routes(self, square_run):
+        report = square_run.report
         assert report["passed"]
         torus = [[g["rank"], g["torsion"]] for g in report["routes"]["mapping_torus"]["groups"]]
         assert torus == [[1, []], [3, []], [3, []], [1, []]]
@@ -31,21 +48,18 @@ class TestPipeline:
         assert hull == [[1, []], [2, []], [1, []]]
         assert report["routes"]["spectral"]["groups"] == report["routes"]["mapping_torus"]["groups"]
 
-    def test_verdicts_present(self, square_report):
-        names = {v["name"] for v in square_report["verdicts"]}
+    def test_verdicts_present(self, square_run):
+        names = {v["name"] for v in square_run.report["verdicts"]}
         assert {"rational_coboundary", "rational_collapse", "route_agreement"} <= names
 
-    def test_report_is_deterministic(self, square_report):
-        again = run_pipeline(RunConfig(system_path("square"), route="both"))
-        assert report_to_json(square_report) == report_to_json(again)
+    def test_report_is_deterministic(self, square_run):
+        again = run_pipeline(RunConfig(system_path("square"), route="both")).report
+        assert report_to_json(square_run.report) == report_to_json(again)
 
     def test_report_deterministic_across_hash_seeds(self, tmp_path):
-        import subprocess
-        import sys
-
         outs = []
         for seed in ("0", "314159"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env = subprocess_env(PYTHONHASHSEED=seed)
             path = tmp_path / f"r{seed}.json"
             subprocess.run(
                 [sys.executable, "-m", "tilecohom.cli", "cohomology",
@@ -55,20 +69,32 @@ class TestPipeline:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_invariants_computed_once_per_degree(self, monkeypatch):
+        calls = Counter()
+        for name in ("invariants_of", "coinvariants_of"):
+            def counted(f, name=name, original=getattr(ab, name)):
+                calls[name] += 1
+                return original(f)
+
+            monkeypatch.setattr(ab, name, counted)
+        run = run_pipeline(RunConfig(system_path("square"), route="both"))
+        degrees = len(run.hull)
+        assert calls == {"invariants_of": degrees, "coinvariants_of": degrees}
+
     def test_spectral_route_standalone_uses_fixture(self):
-        report = run_pipeline(RunConfig(system_path("square"), route="spectral"))
+        report = run_pipeline(RunConfig(system_path("square"), route="spectral")).report
         assert report["passed"]
         assert "mapping_torus" not in report["routes"]
 
-    def test_fibonacci_mapping_torus(self):
-        report = run_pipeline(RunConfig(system_path("fibonacci"), route="mapping-torus"))
-        hull = [[g["rank"], g["torsion"]] for g in report["routes"]["mapping_torus"]["hull"]]
+    def test_fibonacci_mapping_torus(self, fibonacci_run):
+        mapping_torus = fibonacci_run.report["routes"]["mapping_torus"]
+        hull = [[g["rank"], g["torsion"]] for g in mapping_torus["hull"]]
         assert hull == [[1, []], [2, []]]
 
-    def test_compare_routes_self(self, square_report):
-        assert compare_routes(square_report, square_report)["passed"]
+    def test_compare_routes_self(self, square_run):
+        assert compare_routes(square_run.report, square_run.report)["passed"]
 
-    def test_compare_routes_mismatch(self, square_report):
+    def test_compare_routes_mismatch(self, square_run):
         penrose_table = {
             "routes": {
                 "spectral": {
@@ -81,13 +107,22 @@ class TestPipeline:
                 }
             }
         }
-        verdict = compare_routes(penrose_table, square_report)
+        verdict = compare_routes(penrose_table, square_run.report)
         assert not verdict["passed"]
         assert verdict["details"]["first_mismatch_degree"] == 1
 
-    def test_compare_missing_table(self, square_report):
+    def test_compare_missing_table(self, square_run):
         with pytest.raises(MissingTable):
-            compare_routes(square_report, {"routes": {}})
+            compare_routes(square_run.report, {"routes": {}})
+
+    @pytest.mark.parametrize("system,route", sorted(PINNED_REPORTS))
+    def test_report_bytes_pinned(self, system, route, request):
+        sha256, session_run = PINNED_REPORTS[system, route]
+        if session_run:
+            run = request.getfixturevalue(session_run)
+        else:
+            run = run_pipeline(RunConfig(system_path(system), route=route))
+        assert hashlib.sha256(report_to_json(run.report).encode()).hexdigest() == sha256
 
 
 class TestSvg:
@@ -142,6 +177,8 @@ class TestCli:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert all(entry["winding"] == 0 for entry in out["omega"])
+        assert out["omega"][0]["symmetry_order"] == 1
+        assert {"left_tile_class", "right_tile_class"} <= set(out["rho"][0])
 
     def test_cohomology_command_writes_report(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -174,20 +211,17 @@ class TestCli:
         assert len(files) == 1 + 2 + 1  # tile, two edges, one vertex
         capsys.readouterr()
 
-    def test_compare_command(self, tmp_path, capsys):
-        report = run_pipeline(RunConfig(system_path("square"), route="both"))
+    def test_compare_command(self, tmp_path, capsys, square_run):
         p1 = tmp_path / "a.json"
-        p1.write_text(report_to_json(report))
+        p1.write_text(report_to_json(square_run.report))
         code = main(["compare", str(p1), str(p1)])
         assert code == 0
         capsys.readouterr()
 
-    def test_compare_mismatch_exit_code(self, tmp_path, capsys):
-        r1 = run_pipeline(RunConfig(system_path("square"), route="both"))
-        r2 = run_pipeline(RunConfig(system_path("fibonacci"), route="mapping-torus"))
+    def test_compare_mismatch_exit_code(self, tmp_path, capsys, square_run, fibonacci_run):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        p1.write_text(report_to_json(r1))
-        p2.write_text(report_to_json(r2))
+        p1.write_text(report_to_json(square_run.report))
+        p2.write_text(report_to_json(fibonacci_run.report))
         assert main(["compare", str(p1), str(p2)]) == 1
         capsys.readouterr()
 
@@ -196,6 +230,28 @@ class TestCli:
         bad.write_text("{broken")
         assert main(["atlas", str(bad)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["atlas", system_path("penrose"), "--max-level", "3"], "star classes"),
+        # the atlas closes at level 6, the collar not before level 9
+        (["cohomology", system_path("penrose"), "--max-level", "6"], "collared classes"),
+    ])
+    def test_growth_not_closing_exit_code(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert f"{message} still changing" in capsys.readouterr().err
+
+    def test_cohomology_default_route_on_symbolic_system(self, capsys):
+        # a symbolic system has no spectral route: "both" runs the mapping torus only
+        assert main(["cohomology", system_path("fibonacci")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report["routes"]) == ["mapping_torus"]
+        hull = [[g["rank"], g["torsion"]] for g in report["routes"]["mapping_torus"]["hull"]]
+        assert hull == [[1, []], [2, []]]
+
+    def test_render_on_symbolic_system_rejected(self, tmp_path, capsys):
+        assert main(["render", system_path("fibonacci"), "--out", str(tmp_path / "svg")]) == 2
+        assert "two-dimensional" in capsys.readouterr().err
+        assert not (tmp_path / "svg").exists()
 
     def test_spectral_route_on_symbolic_system_rejected(self, capsys):
         code = main(["cohomology", system_path("fibonacci"), "--route", "spectral"])
@@ -210,3 +266,11 @@ class TestCli:
         ])
         assert code == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("demo", ["torus_control.py", "smith_calculator.py"])
+def test_cheap_demo_runs(demo):
+    path = Path(__file__).resolve().parents[1] / "demos" / demo
+    result = subprocess.run([sys.executable, str(path)], env=subprocess_env(),
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -7,7 +7,6 @@ from tilecohom.abelian import FgAbGroup, ZERO_GROUP
 from tilecohom.spectral import (
     SpectralInput,
     RankMismatch,
-    advance,
     apply_d2,
     assemble_e2,
     class_order,
@@ -89,12 +88,6 @@ class TestDifferential:
         e3 = apply_d2(e2, data.omega_class, data.h0_t0)
         for pq in ((1, 1), (2, 1), (0, 0), (1, 0)):
             assert e2.entries[pq] == e3.entries[pq]
-
-    def test_pages_stable_after_three(self):
-        data = penrose_input()
-        e3 = apply_d2(assemble_e2(data), data.omega_class, data.h0_t0)
-        later = advance(advance(e3))
-        assert later.entries == e3.entries and later.page == 5
 
 
 class TestClassOrder:

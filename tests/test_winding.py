@@ -66,35 +66,28 @@ class TestPenroseValues:
         d2 = atlas_boundary(penrose_atlas, 2)
         assert ab.is_zero(d1.dot(d2))
 
-    def test_custom_convention_keeps_congruence(self, penrose_atlas, penrose_rho_omega):
-        rho, _ = penrose_rho_omega
-        custom = assign_rho(penrose_atlas, convention="custom", offsets={2: 1})
-        for i in range(len(penrose_atlas.edge_classes)):
-            delta = custom[i] - rho[i]
-            assert delta.denominator == 1
-
     def test_dagger_orders(self, penrose_atlas):
         assert sorted(dagger_orders(penrose_atlas)) == [1, 1, 1, 1, 1, 5, 5]
 
 
 class TestSquareValues:
-    def test_all_rho_zero(self, square_atlas):
-        rho = assign_rho(square_atlas)
+    def test_all_rho_zero(self, square_run):
+        rho = assign_rho(square_run.atlas)
         assert all(v == 0 for v in rho.values)
 
-    def test_omega_identically_zero(self, square_atlas):
-        rho = assign_rho(square_atlas)
-        omega = omega_chain(square_atlas, rho)
+    def test_omega_identically_zero(self, square_run):
+        rho = assign_rho(square_run.atlas)
+        omega = omega_chain(square_run.atlas, rho)
         assert set(omega.values) == {0}
 
-    def test_boundary_degree_one_vanishes(self, square_atlas):
+    def test_boundary_degree_one_vanishes(self, square_run):
         # each vertex class sees each edge class once in and once out
-        d1 = atlas_boundary(square_atlas, 1)
+        d1 = atlas_boundary(square_run.atlas, 1)
         assert ab.is_zero(d1)
 
 
-def test_integrality_never_fires_on_fixtures(penrose_atlas, square_atlas):
-    for atlas in (penrose_atlas, square_atlas):
+def test_integrality_never_fires_on_fixtures(penrose_atlas, square_run):
+    for atlas in (penrose_atlas, square_run.atlas):
         rho = assign_rho(atlas)
         omega_chain(atlas, rho, audit=True)  # raises NonIntegralWinding on failure
 
