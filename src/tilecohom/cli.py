@@ -56,8 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory for report and figures")
     p_coh.add_argument("--svg", action="store_true",
                        help="emit star-class SVG drawings (requires --out)")
-    p_coh.add_argument("--fixture-h0", metavar="JSON", default=None,
-                       help='override h0_T0, e.g. \'{"rank": 2, "torsion": [5]}\'')
 
     p_render = sub.add_parser("render", help="star-class SVG drawings")
     p_render.add_argument("system")
@@ -110,17 +108,8 @@ def _atlas_command(args, with_omega: bool) -> int:
 
 
 def _cohomology_command(args) -> int:
-    overrides = {}
-    if args.fixture_h0:
-        overrides["h0_T0"] = json.loads(args.fixture_h0)
-    cfg = RunConfig(
-        system_path=args.system,
-        route=args.route,
-        max_level=args.max_level,
-        emit_svg=args.svg,
-        fixture_overrides=overrides,
-    )
-    run = run_pipeline(cfg)
+    run = run_pipeline(RunConfig(args.system, route=args.route, max_level=args.max_level,
+                                 emit_svg=args.svg))
     text = report_to_json(run.report)
     if args.out:
         _write_files(args.out, {"report.json": text, **(run.figures or {})})
@@ -167,8 +156,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return _compare_command(args)
         parser.error("unknown command")
-    except (ParseError, ValidationError, RuleViolation, MissingTable, NotClosed,
-            json.JSONDecodeError) as exc:
+    except (ParseError, ValidationError, RuleViolation, MissingTable, NotClosed) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return 2

@@ -17,7 +17,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import abelian as ab
 from . import spectral as sp
@@ -41,6 +41,7 @@ from .winding import (
     assign_rho,
     atlas_boundary,
     dagger_orders,
+    degree_zero_homology,
     omega_chain,
     rational_coboundary_check,
 )
@@ -59,7 +60,6 @@ class RunConfig:
     route: str = "both"  # "spectral" | "mapping-torus" | "both"
     max_level: int = 12  # bounds atlas growth and collaring
     emit_svg: bool = False
-    fixture_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.route not in ("spectral", "mapping-torus", "both"):
@@ -96,11 +96,6 @@ class Run:
 
 def group_json(g: FgAbGroup) -> dict:
     return {"rank": g.free_rank, "torsion": list(g.torsion)}
-
-
-def group_from_json(data) -> FgAbGroup:
-    return FgAbGroup(int(data["free_rank" if "free_rank" in data else "rank"]),
-                     tuple(int(t) for t in data.get("torsion", ())))
 
 
 def matrix_json(mat) -> list:
@@ -249,44 +244,38 @@ def quotient_stage(run: Run):
 def spectral_stage(run: Run):
     """Second page, stable page and total cohomology of the spectral route.
 
+    The degree-zero homology and the winding class come from the atlas.
     The quotient-hull groups come from the mapping-torus stage when it ran
-    and from the ``h_omega0`` fixture otherwise.
+    and from the system's ``h_omega0`` otherwise.
     """
-    fixtures = dict(run.system.fixtures)
-    fixtures.update(run.config.fixture_overrides)
     verdicts = run.report["verdicts"]
-    if "h0_T0" not in fixtures or "omega_class" not in fixtures:
-        raise ValidationError(
-            "the spectral route needs h0_T0 and omega_class fixtures"
-        )
-    h0_t0 = group_from_json(fixtures["h0_T0"])
-    omega_class = [int(x) for x in fixtures["omega_class"]]
+    h0_t0, omega_class = degree_zero_homology(run.atlas, run.omega)
+    fixture = run.system.quotient_hull
     if run.quotient is not None:
-        h_omega0 = [h.group for h in run.quotient]
-        if "h_omega0" in fixtures:
-            fixture_groups = [group_from_json(g) for g in fixtures["h_omega0"]]
+        h_omega0 = tuple(h.group for h in run.quotient)
+        if fixture is not None:
             verdicts.append({
                 "name": "quotient_matches_fixture",
-                "passed": fixture_groups == h_omega0,
+                "passed": fixture == h_omega0,
                 "details": {
-                    "fixture": [str(g) for g in fixture_groups],
+                    "fixture": [str(g) for g in fixture],
                     "computed": [str(g) for g in h_omega0],
                 },
             })
-    elif "h_omega0" in fixtures:
-        h_omega0 = [group_from_json(g) for g in fixtures["h_omega0"]]
+    elif fixture is not None:
+        h_omega0 = fixture
     else:
         raise ValidationError(
             "the spectral route needs quotient-hull groups "
             "(run the mapping-torus route or provide the h_omega0 fixture)"
         )
     try:
-        data = sp.SpectralInput(tuple(h_omega0), h0_t0, tuple(omega_class))
+        data = sp.SpectralInput(h_omega0, h0_t0, omega_class)
         run.spectral = sp.spectral_route(data)
     except (ValueError, sp.RankMismatch) as exc:
-        raise ValidationError(f"inconsistent spectral fixtures: {exc}") from exc
+        raise ValidationError(f"inconsistent spectral input: {exc}") from exc
     e2, einf, total = run.spectral
-    collapse = sp.rational_collapse_check(data)
+    collapse = sp.rational_collapse_check(data, total)
     verdicts.append({"name": "rational_collapse", "passed": collapse["passed"],
                      "details": collapse})
     page_json = lambda page: {
@@ -321,8 +310,6 @@ def figures_stage(run: Run):
 
 
 def compare_tables(groups1: list, groups2: list) -> dict:
-    if groups1 is None or groups2 is None:
-        raise MissingTable("both reports need final group tables")
     top = max(len(groups1), len(groups2))
     for k in range(top):
         a = groups1[k] if k < len(groups1) else {"rank": 0, "torsion": []}
@@ -340,11 +327,12 @@ def compare_routes(report1: dict, report2: dict) -> dict:
     return compare_tables(_final_groups(report1), _final_groups(report2))
 
 
-def _final_groups(report: dict):
-    routes = report.get("routes", {})
+def _final_groups(report) -> list:
+    routes = report.get("routes") if isinstance(report, dict) else None
     for key in ("spectral", "mapping_torus"):
-        if key in routes and "groups" in routes[key]:
-            return routes[key]["groups"]
+        route = routes.get(key) if isinstance(routes, dict) else None
+        if isinstance(route, dict) and isinstance(route.get("groups"), list):
+            return route["groups"]
     raise MissingTable("report has no final group table")
 
 

@@ -161,13 +161,13 @@ def spectral_route(data: SpectralInput) -> tuple[SpectralPage, SpectralPage, lis
     return e2, einf, total_cohomology(einf)
 
 
-def rational_collapse_check(data: SpectralInput) -> dict:
+def rational_collapse_check(data: SpectralInput, total: list[TotalDegree]) -> dict:
     """Over the rationals the hull of rigid motions looks like a product with a circle.
 
     Verifies rank H^k(rot hull) = rank H^k(quotient) + rank H^(k-1)(quotient)
-    for all k, using the assembled output.
+    for all k, on the total cohomology that ``spectral_route`` assembled
+    from ``data``.
     """
-    _, _, total = spectral_route(data)
     ranks = [d.group.free_rank for d in total]
     q_ranks = [g.free_rank for g in data.h_omega0]
     for k in range(4):

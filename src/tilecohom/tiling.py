@@ -21,6 +21,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import cyclotomic as cyc
+from .abelian import FgAbGroup
 from .cyclotomic import RigidMotion
 
 
@@ -74,7 +75,8 @@ class TilingSystem:
     is the order of the tiling's rotation group C_rotation_order, which
     must divide n.  They coincide for the Penrose system (10), while a
     periodic square tiling needs Z[i] coordinates (n = 4) yet may carry
-    a trivial rotation group.
+    a trivial rotation group.  `quotient_hull` holds the quotient-hull
+    groups in degrees 0..2 that the system file lists as ``h_omega0``.
     """
 
     name: str
@@ -85,7 +87,7 @@ class TilingSystem:
     rotation_order: int | None = None
     regroups: list[MergeRule] = field(default_factory=list)
     hull_self_map: str = "substitution"
-    fixtures: dict = field(default_factory=dict)
+    quotient_hull: tuple[FgAbGroup, ...] | None = None
     is_public_view: bool = False
 
     def __post_init__(self):
@@ -119,7 +121,7 @@ class TilingSystem:
             rotation_order=self.rotation_order,
             regroups=[],
             hull_self_map=self.hull_self_map,
-            fixtures=self.fixtures,
+            quotient_hull=self.quotient_hull,
             is_public_view=True,
         )
 
@@ -757,6 +759,14 @@ def _validate_rule_for(system: TilingSystem, proto_id: int):
 # system files
 # ---------------------------------------------------------------------------
 
+def _quotient_hull(fixtures) -> tuple[FgAbGroup, ...] | None:
+    """The ``h_omega0`` groups of a system file's fixtures, if listed."""
+    if "h_omega0" not in fixtures:
+        return None
+    return tuple(FgAbGroup(int(g["free_rank"]), tuple(int(t) for t in g.get("torsion", ())))
+                 for g in fixtures["h_omega0"])
+
+
 def system_from_dict(data: dict) -> TilingSystem:
     try:
         kind = data.get("type", "polygonal_2d")
@@ -800,7 +810,7 @@ def system_from_dict(data: dict) -> TilingSystem:
             rotation_order=rotation_order,
             regroups=regroups,
             hull_self_map=str(data.get("hull_self_map", "substitution")),
-            fixtures=data.get("fixtures", {}),
+            quotient_hull=_quotient_hull(data.get("fixtures", {})),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad system definition: {exc}") from exc

@@ -136,6 +136,17 @@ def atlas_boundary(atlas: StarAtlas, k: int) -> np.ndarray:
     raise ValueError("degree must be 1 or 2")
 
 
+def degree_zero_homology(atlas: StarAtlas, chain: WindingChain) -> tuple[ab.FgAbGroup, tuple]:
+    """H0 of the atlas complex, coker(d1) in canonical form, and the chain's class in it.
+
+    The class is in canonical coordinates, reduced modulo the torsion orders.
+    """
+    canon = ab.canonicalize(ab.Presentation(len(atlas.vertex_classes), atlas_boundary(atlas, 1)))
+    coords = (sum(int(p) * w for p, w in zip(row, chain.values)) for row in canon.project)
+    orders = canon.group.gen_orders()
+    return canon.group, tuple(x % d if d else x for x, d in zip(coords, orders))
+
+
 def rational_coboundary_check(atlas: StarAtlas, rho: RhoAssignment, chain: WindingChain) -> dict:
     """Verify exactly that the boundary of the -rho 1-chain is omega.
 

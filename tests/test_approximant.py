@@ -122,9 +122,6 @@ class TestPenroseHull:
             coinv = ab.coinvariants_of(rot[k - 1]).free_rank if k >= 1 else 0
             assert d.group.free_rank == inv + coinv
 
-    def test_complex_validates(self, penrose_run):
-        penrose_run.complex.validate()
-
     def test_quotient_complex_euler(self, penrose_run):
         cx = penrose_run.complex
         q = quotient_complex(cx)

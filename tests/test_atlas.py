@@ -1,6 +1,7 @@
 """Star atlas: closure, classes, symmetry, isotropy."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -101,7 +102,7 @@ class TestSquareAtlas:
 
 def undecorated_square_system():
     """The same square tiling but with the full four-fold rotation group."""
-    data = json.loads(open(system_path("square")).read())
+    data = json.loads(Path(system_path("square")).read_text())
     data["rotation_order"] = 4
     data["name"] = "undecorated_square"
     data.pop("fixtures", None)

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import subprocess_env, system_path
+from conftest import as_group, expected_values, subprocess_env, system_path
 from tilecohom import abelian as ab
+from tilecohom import spectral as sp
 from tilecohom.cli import main
 from tilecohom.pipeline import (
     MissingTable,
@@ -20,6 +21,7 @@ from tilecohom.pipeline import (
     report_to_json,
     run_pipeline,
 )
+from tilecohom.winding import degree_zero_homology
 
 # sha256 of the report bytes as of commit ecad0f9, and the session runs that hold them
 PINNED_REPORTS = {
@@ -35,7 +37,18 @@ PINNED_REPORTS = {
         ("a855ec7531886572c73303f58552fc3e2165c9992b4c3f0cd7e973676376b367", "fibonacci_run"),
     ("penrose", "both"):
         ("b2c2a1e38ba2b29788802a3948faaf6d37e24b6a8ace91feb17690437bce258b", "penrose_run"),
+    ("penrose", "spectral"):
+        ("db7e1db6bfa3fdda85b11353b0ff9a54668844127c1c472428c82d3c160b93c8", None),
 }
+
+
+def square_with_h_omega0(tmp_path, h_omega0) -> str:
+    """A copy of the square system whose fixtures list the given h_omega0."""
+    data = json.loads(Path(system_path("square")).read_text())
+    data["fixtures"]["h_omega0"] = h_omega0
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(data))
+    return str(path)
 
 
 class TestPipeline:
@@ -81,10 +94,29 @@ class TestPipeline:
         degrees = len(run.hull)
         assert calls == {"invariants_of": degrees, "coinvariants_of": degrees}
 
-    def test_spectral_route_standalone_uses_fixture(self):
-        report = run_pipeline(RunConfig(system_path("square"), route="spectral")).report
-        assert report["passed"]
-        assert "mapping_torus" not in report["routes"]
+    def test_spectral_route_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(data, original=sp.spectral_route):
+            calls.append(data)
+            return original(data)
+
+        monkeypatch.setattr(sp, "spectral_route", counted)
+        run_pipeline(RunConfig(system_path("square"), route="both"))
+        assert len(calls) == 1
+
+    def test_spectral_route_standalone_uses_fixture(self, penrose_atlas, penrose_rho_omega):
+        # only h_omega0 comes from the system file; H0 and the winding class
+        # are derived from the atlas and match the sidecar values
+        run = run_pipeline(RunConfig(system_path("square"), route="spectral"))
+        assert run.report["passed"]
+        assert "mapping_torus" not in run.report["routes"]
+        for name, atlas, omega in [("penrose", penrose_atlas, penrose_rho_omega[1]),
+                                   ("square", run.atlas, run.omega)]:
+            expected = expected_values(name)
+            h0, omega_class = degree_zero_homology(atlas, omega)
+            assert h0 == as_group(expected["h0_T0"])
+            assert list(omega_class) == expected["omega_class"]
 
     def test_fibonacci_mapping_torus(self, fibonacci_run):
         mapping_torus = fibonacci_run.report["routes"]["mapping_torus"]
@@ -231,6 +263,26 @@ class TestCli:
         assert main(["atlas", str(bad)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("h_omega0", [
+        5,
+        [{"torsion": []}] * 3,
+        [{"free_rank": -1, "torsion": []}] * 3,
+    ], ids=["not-a-list", "no-free-rank", "negative-rank"])
+    def test_malformed_h_omega0_exit_code(self, h_omega0, tmp_path, capsys):
+        path = square_with_h_omega0(tmp_path, h_omega0)
+        assert main(["cohomology", path, "--route", "spectral"]) == 2
+        assert "bad system definition" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("report", [[1, 2], {"routes": {"spectral": 3}}],
+                             ids=["not-an-object", "route-not-an-object"])
+    def test_compare_malformed_report_exit_code(self, report, tmp_path, capsys, square_run):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(report_to_json(square_run.report))
+        bad.write_text(json.dumps(report))
+        assert main(["compare", str(good), str(bad)]) == 2
+        assert main(["compare", str(bad), str(good)]) == 2
+        assert "group table" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv,message", [
         (["atlas", system_path("penrose"), "--max-level", "3"], "star classes"),
         # the atlas closes at level 6, the collar not before level 9
@@ -258,14 +310,13 @@ class TestCli:
         assert code == 2
         capsys.readouterr()
 
-    def test_fixture_override(self, capsys):
-        # overriding h0_T0 with a wrong rank must fail validation (exit 2)
-        code = main([
-            "cohomology", system_path("square"), "--route", "spectral",
-            "--fixture-h0", '{"rank": 3, "torsion": []}',
-        ])
-        assert code == 2
-        capsys.readouterr()
+    def test_fixture_override(self, tmp_path, capsys):
+        # an h_omega0 whose degree-2 rank differs from the derived H0's rank
+        # must fail validation (exit 2)
+        groups = [{"free_rank": r, "torsion": []} for r in (1, 2, 2)]
+        path = square_with_h_omega0(tmp_path, groups)
+        assert main(["cohomology", path, "--route", "spectral"]) == 2
+        assert "rank 1 of the degree-zero homology must equal rank 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("demo", ["torus_control.py", "smith_calculator.py"])

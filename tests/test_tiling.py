@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -46,19 +47,19 @@ class TestLoading:
             load_system(str(bad))
 
     def test_rule_violation_detected(self):
-        data = json.loads(open(system_path("square")).read())
+        data = json.loads(Path(system_path("square")).read_text())
         data["substitution"]["0"] = data["substitution"]["0"][:3]  # drop a child
         with pytest.raises(RuleViolation):
             system_from_dict(data)
 
     def test_overlap_detected(self):
-        data = json.loads(open(system_path("square")).read())
+        data = json.loads(Path(system_path("square")).read_text())
         data["substitution"]["0"][1] = data["substitution"]["0"][0]
         with pytest.raises(RuleViolation):
             system_from_dict(data)
 
     def test_rotation_order_must_divide(self):
-        data = json.loads(open(system_path("square")).read())
+        data = json.loads(Path(system_path("square")).read_text())
         data["rotation_order"] = 3
         with pytest.raises(ValidationError):
             system_from_dict(data)
