@@ -200,6 +200,8 @@ def smith_normal_form(a) -> SmithDecomposition:
                 x = s[i, j]
                 if x != 0 and (best is None or abs(x) < best[0]):
                     best = (abs(x), i, j)
+            if best is not None and best[0] == 1:  # no smaller pivot exists
+                break
         if best is None:
             return False
         row_swap(k, best[1])
@@ -232,9 +234,10 @@ def smith_normal_form(a) -> SmithDecomposition:
         if s[k, k] < 0:
             row_negate(k)
 
-        # enforce divisibility of the remaining block by the pivot
+        # enforce divisibility of the remaining block by the pivot; a unit
+        # pivot divides everything
         offender = None
-        for i in range(k + 1, m):
+        for i in range(k + 1, m) if s[k, k] != 1 else ():
             for j in range(k + 1, n):
                 if s[i, j] % s[k, k] != 0:
                     offender = i

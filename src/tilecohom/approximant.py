@@ -259,31 +259,50 @@ class ApproximantComplex:
     labels: dict = field(default_factory=dict)
 
     def validate(self):
+        """Check ∂∂ = 0, that the self-map and rotation are chain maps that
+        commute, and that the rotation has order ``rotation_order``."""
+        bd = [_sparse_columns(m) for m in self.boundary]
+        sm = [_sparse_columns(m) for m in self.self_map]
         for k in range(self.dimension - 1):
-            prod = self.boundary[k].dot(self.boundary[k + 1])
-            if not ab.is_zero(prod):
+            if any(_sparse_product(bd[k], bd[k + 1])):
                 raise AssertionError(f"boundary squared nonzero in degree {k + 2}")
         for k in range(self.dimension):
-            left = self.boundary[k].dot(self.self_map[k + 1])
-            right = self.self_map[k].dot(self.boundary[k])
-            if not ab.mat_eq(left, right):
+            if _sparse_product(bd[k], sm[k + 1]) != _sparse_product(sm[k], bd[k]):
                 raise AssertionError(f"self-map does not commute with boundary at {k + 1}")
         if self.rotation is not None:
+            rot = [_sparse_columns(m) for m in self.rotation]
             for k in range(self.dimension):
-                left = self.boundary[k].dot(self.rotation[k + 1])
-                right = self.rotation[k].dot(self.boundary[k])
-                if not ab.mat_eq(left, right):
+                if _sparse_product(bd[k], rot[k + 1]) != _sparse_product(rot[k], bd[k]):
                     raise AssertionError(f"rotation does not commute with boundary at {k + 1}")
             for k in range(self.dimension + 1):
-                left = self.rotation[k].dot(self.self_map[k])
-                right = self.self_map[k].dot(self.rotation[k])
-                if not ab.mat_eq(left, right):
+                if _sparse_product(rot[k], sm[k]) != _sparse_product(sm[k], rot[k]):
                     raise AssertionError(f"rotation does not commute with self-map at {k}")
-                power = ab.eye(self.cell_counts[k])
+                identity = [{j: 1} for j in range(self.cell_counts[k])]
+                power = identity
                 for _ in range(self.rotation_order):
-                    power = self.rotation[k].dot(power)
-                if not ab.mat_eq(power, ab.eye(self.cell_counts[k])):
+                    power = _sparse_product(rot[k], power)
+                if power != identity:
                     raise AssertionError(f"rotation order violated in degree {k}")
+
+
+def _sparse_columns(mat: np.ndarray) -> list[dict]:
+    """The columns of an integer matrix as ``{row: entry}`` dicts of nonzeros."""
+    cols = [{} for _ in range(mat.shape[1])]
+    for i, j in zip(*np.nonzero(mat)):
+        cols[j][int(i)] = mat[i, j]
+    return cols
+
+
+def _sparse_product(a: list[dict], b: list[dict]) -> list[dict]:
+    """A·B on sparse columns; exact, with zero entries dropped."""
+    out = []
+    for col in b:
+        acc = {}
+        for l, y in col.items():
+            for i, x in a[l].items():
+                acc[i] = acc.get(i, 0) + x * y
+        out.append({i: x for i, x in acc.items() if x != 0})
+    return out
 
 
 def build_ap_complex(collared: CollaredTiles) -> ApproximantComplex:
@@ -547,8 +566,10 @@ def _self_map_matrices(collared, edge_uf, vertex_uf, edge_cell, vertex_cell, slo
 def _segment_path(child: Patch, a, b):
     """Vertices of the child patch along the segment [a, b], in order.
 
-    Exact collinearity filters candidates; the float parameter only sorts
-    them (vertex separations are bounded below at fixture scales).
+    Exact collinearity filters candidates, but the float parameter ``t``
+    both sorts them and, with a 1e-9 margin, decides which lie on the
+    segment: the one place where a float decides membership (ROADMAP
+    item 5 plans to derive edge images combinatorially instead).
     """
     from .tiling import cross_is_zero
 

@@ -132,7 +132,7 @@ def _compare_command(args) -> int:
         try:
             with open(path) as fh:
                 reports.append(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read report {path}: {exc}") from exc
     verdict = compare_routes(reports[0], reports[1])
     sys.stdout.write(json.dumps(verdict, sort_keys=True, indent=1) + "\n")

@@ -6,7 +6,10 @@ same ring and, for each prototile, a list of placements that exactly
 tile the inflated prototile.  Substitution, patch growth and the derived
 cell structure (vertices, edges, faces with incidences) all run on exact
 coordinates; floating point appears only inside validation predicates
-with wide margins and never decides equality.
+with wide margins, with one exception outside this module:
+`approximant._segment_path` decides with a float parameter and a 1e-9
+margin which collinear child vertices lie on a parent edge (ROADMAP
+item 5 plans to remove it).
 
 Systems may carry regrouping rules that merge native tiles into larger
 public tiles (e.g. half-tiles into whole ones); the public cell
@@ -829,7 +832,7 @@ def load_system(path) -> TilingSystem | "object":
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("system file must contain a JSON object")

@@ -1,5 +1,6 @@
 """Exact integer linear algebra: Smith form, groups, limits."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -32,6 +33,43 @@ def check_snf(a):
             if i != j:
                 assert dec.s[i, j] == 0
     return dec
+
+
+def unit_heavy_matrix(rng, max_dim=8):
+    """Entries mostly in {-1, 0, 1}; a random share of them is in [-9, 9],
+    so that non-unit pivots and the divisibility fix-up also occur."""
+    m = rng.randrange(0, max_dim + 1)
+    n = rng.randrange(0, max_dim + 1)
+    large = rng.random()
+    return ab.intmat([
+        [rng.randint(-9, 9) if rng.random() < large else rng.choice((-1, 0, 0, 1))
+         for _ in range(n)]
+        for _ in range(m)
+    ])
+
+
+def snf_digest(mats) -> str:
+    """One sha256 over U, S, V, U^-1 and V^-1 of every matrix's Smith form."""
+    h = hashlib.sha256()
+    for a in mats:
+        dec = ab.smith_normal_form(a)
+        for part in (dec.u, dec.s, dec.v, dec.u_inv, dec.v_inv):
+            h.update(repr((part.shape, part.tolist())).encode())
+    return h.hexdigest()
+
+
+# Smith decompositions as computed before the unit-pivot shortcuts; the
+# shortcuts must not change a single entry of U, S, V or their inverses
+SNF_RANDOM_DIGEST = "9f4b0aab06897a376453afe90fe41de03acced575dcb45482d2806f741908763"
+SNF_PENROSE_DIGEST = "b43bdd5dad1f0928def30e7388d8bafa7d5b30a6025b3f04a3892747ed5db7eb"
+
+
+def test_snf_decomposition_pinned(penrose_run):
+    rng = random.Random(20261018)
+    assert snf_digest(unit_heavy_matrix(rng) for _ in range(200)) == SNF_RANDOM_DIGEST
+    # the two cochain differentials of the Penrose approximant complex
+    cochain_differentials = [d.T for d in penrose_run.complex.boundary]
+    assert snf_digest(cochain_differentials) == SNF_PENROSE_DIGEST
 
 
 class TestSmithNormalForm:

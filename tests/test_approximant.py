@@ -1,5 +1,7 @@
 """Approximant complexes: collaring, self-maps, hull and quotient cohomology."""
 
+import copy
+
 import pytest
 
 from conftest import as_group, expected_values
@@ -127,6 +129,56 @@ class TestPenroseHull:
         q = quotient_complex(cx)
         # the orbit complex has one tenth of the free-orbit cells
         assert q.cell_counts[2] == cx.cell_counts[2] // 10
+
+
+def _bump_entry(mat, row_ok):
+    """Add 1 to the first entry of column 0 whose row index passes ``row_ok``."""
+    i = next(i for i in range(mat.shape[0]) if row_ok(i))
+    mat[i, 0] += 1
+
+
+def _break_boundary(cx):
+    # d1 of edge i is nonzero, so adding edge i to the boundary of face 0
+    # makes d1 d2 nonzero
+    _bump_entry(cx.boundary[1], lambda i: any(cx.boundary[0][:, i]))
+
+
+def _break_self_map(cx):
+    _bump_entry(cx.self_map[2], lambda i: any(cx.boundary[1][:, i]))
+
+
+def _break_rotation(cx):
+    _bump_entry(cx.rotation[2], lambda i: any(cx.boundary[1][:, i]))
+
+
+def _break_rotation_self_map(cx):
+    # add the null-homotopic chain map d h + h d, with h sending vertex 0 to
+    # edge e: the self-map stays a chain map but no longer commutes with
+    # the rotation
+    d = cx.boundary[0]
+    e = next(j for j in range(d.shape[1]) if d[0, j] != 0)
+    cx.self_map[0][:, 0] += d[:, e]
+    cx.self_map[1][e, :] += d[0, :]
+
+
+def _break_rotation_order(cx):
+    cx.rotation_order = 9
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_break_boundary, "boundary squared nonzero in degree 2"),
+    (_break_self_map, "self-map does not commute with boundary at 2"),
+    (_break_rotation, "rotation does not commute with boundary at 2"),
+    (_break_rotation_self_map, "rotation does not commute with self-map at 0"),
+    (_break_rotation_order, "rotation order violated in degree 0"),
+], ids=["boundary", "self-map", "rotation", "rotation-self-map", "rotation-order"])
+def test_validate_rejects_each_broken_identity(corrupt, message, penrose_run, square_run):
+    penrose_run.complex.validate()
+    square_run.complex.validate()
+    cx = copy.deepcopy(penrose_run.complex)
+    corrupt(cx)
+    with pytest.raises(AssertionError, match=message):
+        cx.validate()
 
 
 def test_signed_union_find_detects_reversed_self_identification():

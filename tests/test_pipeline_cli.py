@@ -263,6 +263,16 @@ class TestCli:
         assert main(["atlas", str(bad)]) == 2
         capsys.readouterr()
 
+    def test_non_utf8_input_exit_code(self, tmp_path, capsys, square_run):
+        bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+        bad.write_bytes(b"\xff\xfe{bad")
+        good.write_text(report_to_json(square_run.report))
+        for argv in (["atlas", str(bad)], ["cohomology", str(bad)],
+                     ["compare", str(good), str(bad)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert any(line.startswith("error: ") for line in err)
+
     @pytest.mark.parametrize("h_omega0", [
         5,
         [{"torsion": []}] * 3,
