@@ -6,6 +6,11 @@ which we derive canonical forms of finitely generated abelian groups,
 homology of integer chain complexes, invariants/coinvariants of group
 endomorphisms and stabilized direct limits of self-systems.
 
+Large matrices that are mostly zero (chain maps, boundaries and the
+Smith transforms U and V) are applied as sparse columns: one
+``{row: entry}`` dict of nonzeros per column, multiplied exactly by
+``sparse_product``.  Only the small canonical groups are handled densely.
+
 A group is always reported in the canonical form (free rank, torsion
 divisor chain); two groups are equal iff these data agree.  Generator
 lists of a canonical group are ordered free generators first, then
@@ -79,6 +84,26 @@ def mat_eq(a: np.ndarray, b: np.ndarray) -> bool:
 
 def is_zero(a: np.ndarray) -> bool:
     return all(x == 0 for x in a.flat)
+
+
+def sparse_columns(mat: np.ndarray) -> list[dict]:
+    """The columns of an integer matrix as ``{row: entry}`` dicts of nonzeros."""
+    cols = [{} for _ in range(mat.shape[1])]
+    for i, j in zip(*np.nonzero(mat)):
+        cols[j][int(i)] = mat[i, j]
+    return cols
+
+
+def sparse_product(a: list[dict], b: list[dict]) -> list[dict]:
+    """A·B on sparse columns; exact, with zero entries dropped."""
+    out = []
+    for col in b:
+        acc = {}
+        for l, y in col.items():
+            for i, x in a[l].items():
+                acc[i] = acc.get(i, 0) + x * y
+        out.append({i: x for i, x in acc.items() if x != 0})
+    return out
 
 
 def det(a: np.ndarray) -> int:
@@ -266,47 +291,44 @@ def kernel_basis(a) -> np.ndarray:
 
 
 class LinearSolver:
-    """Solve A x = b over the integers for many right-hand sides."""
+    """Solve A x = b over the integers for many right-hand sides.
+
+    With U A V = S, a solution is x = V (U b / d) taken entrywise over
+    the divisors d of S; U and V are applied as sparse columns.
+    """
 
     def __init__(self, a):
         self.a = as_intmat(a)
         self.dec = smith_normal_form(self.a)
+        self._divisors = self.dec.divisors
+        self._u = sparse_columns(self.dec.u)
+        self._v = sparse_columns(self.dec.v)
 
     def solve(self, b) -> np.ndarray | None:
         """A particular integer solution of A x = b, or None."""
-        m, n = self.a.shape
-        b = np.asarray(b, dtype=object).reshape(m)
-        y = self.dec.u.dot(b)
-        x = zeros(n, 1)[:, 0]
-        divisors = self.dec.divisors
-        for i in range(m):
-            d = divisors[i] if i < len(divisors) else 0
-            if d == 0:
-                if y[i] != 0:
-                    return None
-            else:
-                if y[i] % d != 0:
-                    return None
-                x[i] = y[i] // d
-        for i in range(len(divisors), min(n, m)):
-            x[i] = 0
-        return self.dec.v.dot(x)
+        b = np.asarray(b, dtype=object).reshape(self.a.shape[0])
+        x = self.solve_columns([{int(i): b[i] for i in np.nonzero(b)[0]}])
+        return None if x is None else x[:, 0]
 
     def solvable(self, b) -> bool:
         return self.solve(b) is not None
 
     def solve_matrix(self, b) -> np.ndarray | None:
         """Solve A X = B columnwise; None if any column fails."""
-        b = as_intmat(b)
-        cols = []
-        for j in range(b.shape[1]):
-            x = self.solve(b[:, j])
-            if x is None:
-                return None
-            cols.append(x)
-        out = zeros(self.a.shape[1], b.shape[1])
-        for j, x in enumerate(cols):
-            out[:, j] = x
+        return self.solve_columns(sparse_columns(as_intmat(b)))
+
+    def solve_columns(self, cols: list[dict]) -> np.ndarray | None:
+        """Solve A X = B for B given as sparse columns; None if any column fails."""
+        divisors = self._divisors
+        out = zeros(self.a.shape[1], len(cols))
+        for j, col in enumerate(cols):
+            (y,) = sparse_product(self._u, [col])
+            for i, yi in y.items():
+                d = divisors[i] if i < len(divisors) else 0
+                if d == 0 or yi % d != 0:
+                    return None
+                for r, v in self._v[i].items():
+                    out[r, j] += v * (yi // d)
         return out
 
 
@@ -546,9 +568,8 @@ class Subquotient:
         n = d_out.shape[1]
         if d_in.shape[0] != n:
             raise ValueError("chain group dimension mismatch")
-        if d_in.shape[1] and d_out.shape[0]:
-            if not is_zero(d_out.dot(d_in)):
-                raise CompositionNotZero("d_out . d_in != 0")
+        if any(sparse_product(sparse_columns(d_out), sparse_columns(d_in))):
+            raise CompositionNotZero("d_out . d_in != 0")
         kernel = kernel_basis(d_out)
         coord_solver = LinearSolver(kernel)
         coords = coord_solver.solve_matrix(d_in)
@@ -569,8 +590,8 @@ class Subquotient:
         The ambient map must send ker(d_out) into itself and im(d_in) into
         itself (both are checked).
         """
-        f = as_intmat(ambient_matrix)
-        mapped = self._coord_solver.solve_matrix(f.dot(self.kernel))
+        f = sparse_columns(as_intmat(ambient_matrix))
+        mapped = self._coord_solver.solve_columns(sparse_product(f, sparse_columns(self.kernel)))
         if mapped is None:
             raise ValueError("ambient map does not preserve the kernel")
         mat = self._canon.project.dot(mapped.dot(self._canon.lift))

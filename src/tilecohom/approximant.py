@@ -261,48 +261,28 @@ class ApproximantComplex:
     def validate(self):
         """Check ∂∂ = 0, that the self-map and rotation are chain maps that
         commute, and that the rotation has order ``rotation_order``."""
-        bd = [_sparse_columns(m) for m in self.boundary]
-        sm = [_sparse_columns(m) for m in self.self_map]
+        bd = [ab.sparse_columns(m) for m in self.boundary]
+        sm = [ab.sparse_columns(m) for m in self.self_map]
         for k in range(self.dimension - 1):
-            if any(_sparse_product(bd[k], bd[k + 1])):
+            if any(ab.sparse_product(bd[k], bd[k + 1])):
                 raise AssertionError(f"boundary squared nonzero in degree {k + 2}")
         for k in range(self.dimension):
-            if _sparse_product(bd[k], sm[k + 1]) != _sparse_product(sm[k], bd[k]):
+            if ab.sparse_product(bd[k], sm[k + 1]) != ab.sparse_product(sm[k], bd[k]):
                 raise AssertionError(f"self-map does not commute with boundary at {k + 1}")
         if self.rotation is not None:
-            rot = [_sparse_columns(m) for m in self.rotation]
+            rot = [ab.sparse_columns(m) for m in self.rotation]
             for k in range(self.dimension):
-                if _sparse_product(bd[k], rot[k + 1]) != _sparse_product(rot[k], bd[k]):
+                if ab.sparse_product(bd[k], rot[k + 1]) != ab.sparse_product(rot[k], bd[k]):
                     raise AssertionError(f"rotation does not commute with boundary at {k + 1}")
             for k in range(self.dimension + 1):
-                if _sparse_product(rot[k], sm[k]) != _sparse_product(sm[k], rot[k]):
+                if ab.sparse_product(rot[k], sm[k]) != ab.sparse_product(sm[k], rot[k]):
                     raise AssertionError(f"rotation does not commute with self-map at {k}")
                 identity = [{j: 1} for j in range(self.cell_counts[k])]
                 power = identity
                 for _ in range(self.rotation_order):
-                    power = _sparse_product(rot[k], power)
+                    power = ab.sparse_product(rot[k], power)
                 if power != identity:
                     raise AssertionError(f"rotation order violated in degree {k}")
-
-
-def _sparse_columns(mat: np.ndarray) -> list[dict]:
-    """The columns of an integer matrix as ``{row: entry}`` dicts of nonzeros."""
-    cols = [{} for _ in range(mat.shape[1])]
-    for i, j in zip(*np.nonzero(mat)):
-        cols[j][int(i)] = mat[i, j]
-    return cols
-
-
-def _sparse_product(a: list[dict], b: list[dict]) -> list[dict]:
-    """A·B on sparse columns; exact, with zero entries dropped."""
-    out = []
-    for col in b:
-        acc = {}
-        for l, y in col.items():
-            for i, x in a[l].items():
-                acc[i] = acc.get(i, 0) + x * y
-        out.append({i: x for i, x in acc.items() if x != 0})
-    return out
 
 
 def build_ap_complex(collared: CollaredTiles) -> ApproximantComplex:
@@ -815,16 +795,14 @@ def quotient_complex(cx: ApproximantComplex) -> ApproximantComplex:
     new_counts = []
     for k in range(cx.dimension + 1):
         n = cx.cell_counts[k]
-        rot = cx.rotation[k]
         perm = []
         signs = []
-        for j in range(n):
-            col = [rot[i, j] for i in range(n)]
-            nz = [i for i, x in enumerate(col) if x != 0]
-            if len(nz) != 1 or abs(col[nz[0]]) != 1:
+        for col in ab.sparse_columns(cx.rotation[k]):
+            entries = list(col.items())
+            if len(entries) != 1 or abs(entries[0][1]) != 1:
                 raise NonCellularAction("rotation is not a signed permutation")
-            perm.append(nz[0])
-            signs.append(int(col[nz[0]]))
+            perm.append(entries[0][0])
+            signs.append(int(entries[0][1]))
         orbit_of = [-1] * n
         orbit_sign = [1] * n
         reps = []

@@ -19,6 +19,8 @@ import math
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import abelian as ab
 from . import spectral as sp
 from .abelian import FgAbGroup, GroupHom, MappingTorusDegree
@@ -81,6 +83,7 @@ class Run:
     atlas: StarAtlas | None = None
     rho: RhoAssignment | None = None
     omega: WindingChain | None = None
+    atlas_d1: np.ndarray | None = None  # degree-1 boundary of the atlas complex
     complex: ApproximantComplex | None = None
     hull: list[HullDegree] | None = None
     rotation: list[GroupHom] | None = None
@@ -189,11 +192,12 @@ def winding_stage(run: Run):
          "symmetry_order": cls.symmetry_order}
         for cls in atlas.vertex_classes
     ]
+    run.atlas_d1 = d1 = atlas_boundary(atlas, 1)
     report["boundary_matrices"] = {
-        "degree_1": matrix_json(atlas_boundary(atlas, 1)),
+        "degree_1": matrix_json(d1),
         "degree_2": matrix_json(atlas_boundary(atlas, 2)),
     }
-    cob = rational_coboundary_check(atlas, rho, omega)
+    cob = rational_coboundary_check(d1, rho, omega)
     report["verdicts"].append({"name": "rational_coboundary", "passed": cob["passed"],
                                "details": cob})
 
@@ -249,7 +253,7 @@ def spectral_stage(run: Run):
     and from the system's ``h_omega0`` otherwise.
     """
     verdicts = run.report["verdicts"]
-    h0_t0, omega_class = degree_zero_homology(run.atlas, run.omega)
+    h0_t0, omega_class = degree_zero_homology(run.atlas_d1, run.omega)
     fixture = run.system.quotient_hull
     if run.quotient is not None:
         h_omega0 = tuple(h.group for h in run.quotient)

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -106,6 +107,34 @@ class TestSmithNormalForm:
             assert all(d == 1 for d in ab.smith_normal_form(k).nonzero_divisors())
 
 
+def with_dependent_row_and_column(rng, a):
+    """A with one more column and one more row, each an integer combination
+    of the others; the result has rank below both of its dimensions."""
+    c = np.array([rng.randint(-2, 2) for _ in range(a.shape[1])], dtype=object)
+    a = np.concatenate([a, a.dot(c)[:, None]], axis=1)
+    r = np.array([rng.randint(-2, 2) for _ in range(a.shape[0])], dtype=object)
+    return np.concatenate([a, r.dot(a)[None, :]], axis=0)
+
+
+def dense_solve(dec: ab.SmithDecomposition, b):
+    """The dense formula x = V (U b / d) with the divisors d of S: the
+    reference that LinearSolver.solve must reproduce exactly, None included."""
+    m, n = dec.s.shape
+    y = dec.u.dot(np.asarray(b, dtype=object).reshape(m))
+    x = ab.zeros(n, 1)[:, 0]
+    divisors = dec.divisors
+    for i in range(m):
+        d = divisors[i] if i < len(divisors) else 0
+        if d == 0:
+            if y[i] != 0:
+                return None
+        else:
+            if y[i] % d != 0:
+                return None
+            x[i] = y[i] // d
+    return dec.v.dot(x)
+
+
 class TestSolver:
     def test_solve_roundtrip(self):
         rng = random.Random(13)
@@ -120,6 +149,42 @@ class TestSolver:
     def test_unsolvable(self):
         a = ab.intmat([[2]])
         assert ab.LinearSolver(a).solve([1]) is None
+
+    def test_solve_matches_dense_formula(self):
+        rng = random.Random(20261018)
+        seen = Counter()
+        for trial in range(300):
+            a = unit_heavy_matrix(rng)
+            if trial % 2 and min(a.shape):
+                a = with_dependent_row_and_column(rng, a)
+            m, n = a.shape
+            solver = ab.LinearSolver(a)
+            x = np.array([rng.randint(-3, 3) for _ in range(n)], dtype=object)
+            image = a.dot(x) if n else np.array([0] * m, dtype=object)
+            noise = np.array([rng.choice((-1, 0, 0, 2)) for _ in range(m)], dtype=object)
+            rhs = [image, noise, image + noise, 2 * image + noise]
+            for b in rhs:
+                want = dense_solve(solver.dec, b)
+                got = solver.solve(b)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got.shape == want.shape
+                    assert all(type(v) is int and v == w for v, w in zip(got, want))
+                seen["solvable" if want is not None else "unsolvable",
+                     "square" if m == n else "non-square"] += 1
+                seen["rank-deficient" if solver.dec.rank < min(m, n) else "full rank"] += 1
+                seen["torsion" if any(d > 1 for d in solver.dec.divisors) else "unit"] += 1
+            b = np.stack(rhs, axis=1)
+            cols = [dense_solve(solver.dec, b[:, j]) for j in range(len(rhs))]
+            got = solver.solve_matrix(b)
+            if any(c is None for c in cols):
+                assert got is None
+            else:
+                assert ab.mat_eq(got, np.stack(cols, axis=1))
+        for outcome in ("solvable", "unsolvable"):
+            assert seen[outcome, "square"] > 20 and seen[outcome, "non-square"] > 20
+        assert seen["rank-deficient"] > 300 and seen["torsion"] > 150
 
 
 class TestFgAbGroup:
@@ -306,6 +371,21 @@ class TestSubquotientTransport:
         f = sq.induced_endomorphism(ab.intmat([[0, 1], [1, 0]]))
         assert f.source == ab.FgAbGroup(2)
         assert ab.characteristic_polynomial(f.matrix) == [1, 0, -1]
+
+    def test_induced_endomorphism_matches_dense_route(self, penrose_run):
+        # the self-map and rotation cochain maps of every Penrose degree,
+        # carried through the dense product f . kernel
+        cx = penrose_run.complex
+        for h in penrose_run.hull:
+            sq = h.subquotient
+            for chain_map in (cx.self_map, cx.rotation):
+                f = chain_map[h.degree].T
+                mapped = sq._coord_solver.solve_matrix(f.dot(sq.kernel))
+                want = sq._canon.project.dot(mapped.dot(sq._canon.lift))
+                for i, d in enumerate(sq.group.gen_orders()):
+                    if d:
+                        want[i] = [x % d for x in want[i]]
+                assert ab.mat_eq(sq.induced_endomorphism(f).matrix, want)
 
 
 def test_characteristic_polynomial():

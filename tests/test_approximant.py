@@ -1,13 +1,21 @@
 """Approximant complexes: collaring, self-maps, hull and quotient cohomology."""
 
 import copy
+import random
 
+import numpy as np
 import pytest
 
 from conftest import as_group, expected_values
 from tilecohom import abelian as ab
 from tilecohom.abelian import FgAbGroup
-from tilecohom.approximant import quotient_complex
+from tilecohom.approximant import (
+    ApproximantComplex,
+    hull_cohomology,
+    quotient_cohomology,
+    quotient_complex,
+    rotation_action,
+)
 
 
 class TestSquareTorus:
@@ -129,6 +137,50 @@ class TestPenroseHull:
         q = quotient_complex(cx)
         # the orbit complex has one tenth of the free-orbit cells
         assert q.cell_counts[2] == cx.cell_counts[2] // 10
+
+
+def _signed_permutation(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm, [rng.choice((-1, 1)) for _ in range(n)]
+
+
+def _conjugate(mat, rows, cols):
+    """P · mat · Qᵀ for signed permutations P and Q, each given as (perm,
+    signs) with P e_j = signs[j] e_perm[j]; Qᵀ = Q⁻¹, so this is a change
+    of cell basis."""
+    (p, p_signs), (q, q_signs) = rows, cols
+    out = ab.zeros(*mat.shape)
+    for i, j in zip(*np.nonzero(mat)):
+        out[p[i], q[j]] = p_signs[i] * mat[i, j] * q_signs[j]
+    return out
+
+
+def test_groups_unchanged_under_signed_cell_relabelling(penrose_run):
+    cx = penrose_run.complex
+    rng = random.Random(20261018)
+    p = [_signed_permutation(rng, n) for n in cx.cell_counts]
+    relabelled = ApproximantComplex(
+        dimension=cx.dimension,
+        cell_counts=list(cx.cell_counts),
+        boundary=[_conjugate(d, p[k], p[k + 1]) for k, d in enumerate(cx.boundary)],
+        self_map=[_conjugate(s, p[k], p[k]) for k, s in enumerate(cx.self_map)],
+        rotation=[_conjugate(r, p[k], p[k]) for k, r in enumerate(cx.rotation)],
+        rotation_order=cx.rotation_order,
+        labels=dict(cx.labels),
+    )
+    relabelled.validate()
+    assert not any(ab.mat_eq(a, b) for a, b in zip(relabelled.boundary, cx.boundary))
+    hull = hull_cohomology(relabelled)
+    torus = ab.mapping_torus_cohomology(rotation_action(relabelled, hull))
+    quotient = quotient_cohomology(relabelled)
+    assert [h.group for h in hull] == [h.group for h in penrose_run.hull]
+    assert [h.stage for h in hull] == [h.stage for h in penrose_run.hull]
+    assert [(d.group, d.invariants, d.coinvariants_below, d.extension_ambiguous)
+            for d in torus] == [
+        (d.group, d.invariants, d.coinvariants_below, d.extension_ambiguous)
+        for d in penrose_run.torus]
+    assert [h.group for h in quotient] == [h.group for h in penrose_run.quotient]
 
 
 def _bump_entry(mat, row_ok):

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import as_group, expected_values, subprocess_env, system_path
 from tilecohom import abelian as ab
+from tilecohom import pipeline, winding
 from tilecohom import spectral as sp
 from tilecohom.cli import main
 from tilecohom.pipeline import (
@@ -21,7 +22,7 @@ from tilecohom.pipeline import (
     report_to_json,
     run_pipeline,
 )
-from tilecohom.winding import degree_zero_homology
+from tilecohom.winding import atlas_boundary, degree_zero_homology
 
 # sha256 of the report bytes as of commit ecad0f9, and the session runs that hold them
 PINNED_REPORTS = {
@@ -105,6 +106,18 @@ class TestPipeline:
         run_pipeline(RunConfig(system_path("square"), route="both"))
         assert len(calls) == 1
 
+    def test_atlas_boundary_built_once_per_degree(self, monkeypatch):
+        calls = Counter()
+
+        def counted(atlas, k, original=winding.atlas_boundary):
+            calls[k] += 1
+            return original(atlas, k)
+
+        for module in (pipeline, winding):
+            monkeypatch.setattr(module, "atlas_boundary", counted)
+        run_pipeline(RunConfig(system_path("square"), route="both"))
+        assert calls == {1: 1, 2: 1}
+
     def test_spectral_route_standalone_uses_fixture(self, penrose_atlas, penrose_rho_omega):
         # only h_omega0 comes from the system file; H0 and the winding class
         # are derived from the atlas and match the sidecar values
@@ -114,7 +127,7 @@ class TestPipeline:
         for name, atlas, omega in [("penrose", penrose_atlas, penrose_rho_omega[1]),
                                    ("square", run.atlas, run.omega)]:
             expected = expected_values(name)
-            h0, omega_class = degree_zero_homology(atlas, omega)
+            h0, omega_class = degree_zero_homology(atlas_boundary(atlas, 1), omega)
             assert h0 == as_group(expected["h0_T0"])
             assert list(omega_class) == expected["omega_class"]
 

@@ -35,14 +35,14 @@ class TestPenroseValues:
 
     def test_coboundary_check_passes(self, penrose_atlas, penrose_rho_omega):
         rho, omega = penrose_rho_omega
-        assert rational_coboundary_check(penrose_atlas, rho, omega)["passed"]
+        assert rational_coboundary_check(atlas_boundary(penrose_atlas, 1), rho, omega)["passed"]
 
     def test_corrupted_rho_fails_with_witness(self, penrose_atlas, penrose_rho_omega):
         rho, omega = penrose_rho_omega
         values = list(rho.values)
         values[0] += Fraction(1, 10)  # break the defining congruence
         verdict = rational_coboundary_check(
-            penrose_atlas, RhoAssignment(tuple(values)), omega
+            atlas_boundary(penrose_atlas, 1), RhoAssignment(tuple(values)), omega
         )
         assert not verdict["passed"]
         assert "witness_vertex_class" in verdict
