@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import abelian as ab
-from . import cyclotomic as cyc
 from .abelian import DirectLimit, DirectSystem, FgAbGroup, GroupHom, Subquotient
 from .atlas import NotClosed
 from .tiling import Patch, TilingSystem, canonical_key, prototile_patch
@@ -31,10 +30,6 @@ from .tiling import Patch, TilingSystem, canonical_key, prototile_patch
 
 class InconsistentIdentification(Exception):
     """Adjacency data forces an edge cell onto itself with reversed orientation."""
-
-
-class NoRotationGroup(Exception):
-    """Rotating some collared class does not yield a collared class."""
 
 
 class NonCellularAction(Exception):
@@ -107,9 +102,11 @@ class CollaredTiles:
     class_keys: list[tuple]
     class_index: dict = field(repr=False)
     tile_class: dict = field(repr=False)        # trusted tile index -> class
-    child_tile_class: dict = field(repr=False)  # trusted child tile -> class
     edge_idents: set = field(repr=False)
     vertex_idents: set = field(repr=False)
+    # class index -> index of its rotation by one group step; None when
+    # the rotation group is trivial
+    class_rotation: list[int] | None = field(repr=False)
 
     @property
     def count(self) -> int:
@@ -208,27 +205,26 @@ def collar(system: TilingSystem, max_level: int = 14) -> CollaredTiles:
         keys = frozenset(tile_class.values())
         edge_pairs, vertex_pairs = _identification_data(patch, tile_class)
         signature = (keys, frozenset(edge_pairs), frozenset(vertex_pairs))
-        rotation_closed = True
-        if keys and system.rotation_order > 1:
-            rot_cache = {}
+        rotated = {}
+        if system.rotation_order > 1:
             step = system.n // system.rotation_order
-            for key in keys:
-                rot_cache[key] = _rotate_class_key(system, key, step)
-            rotation_closed = all(v in keys for v in rot_cache.values())
+            rotated = {key: _rotate_class_key(system, key, step) for key in keys}
+        rotation_closed = all(v in keys for v in rotated.values())
         if prev is not None and signature == prev and keys and rotation_closed:
-            child = patch.substitute(1)
             class_keys = sorted(keys)
+            class_index = {k: i for i, k in enumerate(class_keys)}
+            one_step = [class_index[rotated[k]] for k in class_keys] if rotated else None
             return CollaredTiles(
                 system=system,
                 level=level,
                 patch=patch,
-                child_patch=child,
+                child_patch=patch.substitute(1),
                 class_keys=class_keys,
-                class_index={k: i for i, k in enumerate(class_keys)},
+                class_index=class_index,
                 tile_class=tile_class,
-                child_tile_class=_trusted_classes(child),
                 edge_idents=edge_pairs,
                 vertex_idents=vertex_pairs,
+                class_rotation=one_step,
             )
         prev = signature
         if level < max_level:
@@ -294,8 +290,12 @@ def build_ap_complex(collared: CollaredTiles) -> ApproximantComplex:
         for i, key in enumerate(collared.class_keys)
     }
 
-    rot_steps = system.group_rotation_indices()
-    class_rot = _class_rotation_table(collared) if len(rot_steps) > 1 else None
+    class_rot = None
+    if collared.class_rotation is not None:
+        # class_rot[j][i] = index of class i rotated j group steps
+        class_rot = [list(range(n_faces))]
+        while len(class_rot) < system.rotation_order:
+            class_rot.append([collared.class_rotation[i] for i in class_rot[-1]])
 
     edge_uf = _SignedUnionFind()
     vertex_uf = _SignedUnionFind()
@@ -368,9 +368,7 @@ def build_ap_complex(collared: CollaredTiles) -> ApproximantComplex:
             r0[vertex_cell[image_root], vertex_cell[root]] = 1
         rotation = [r0, r1, r2]
 
-    s0, s1, s2 = _self_map_matrices(
-        collared, edge_uf, vertex_uf, edge_cell, vertex_cell, slot_count
-    )
+    s0, s1, s2 = _self_map_matrices(collared, edge_uf, vertex_uf, edge_cell, vertex_cell)
 
     cx = ApproximantComplex(
         dimension=2,
@@ -391,22 +389,6 @@ def _base_proto(key: tuple) -> int:
     return cdata[0]
 
 
-def _class_rotation_table(collared: CollaredTiles) -> list[list[int]]:
-    """table[j][i] = index of class i rotated j group steps."""
-    system = collared.system
-    step = system.n // system.rotation_order
-    one_step = []
-    for key in collared.class_keys:
-        rotated = _rotate_class_key(system, key, step)
-        if rotated not in collared.class_index:
-            raise NoRotationGroup(f"rotation of a collared class is not collared")
-        one_step.append(collared.class_index[rotated])
-    table = [list(range(collared.count)), one_step]
-    while len(table) < system.rotation_order:
-        table.append([one_step[i] for i in table[-1]])
-    return table
-
-
 def _occurrences_by_class(collared: CollaredTiles) -> dict:
     out: dict[int, list[int]] = {}
     for f, key in collared.tile_class.items():
@@ -414,7 +396,14 @@ def _occurrences_by_class(collared: CollaredTiles) -> dict:
     return out
 
 
-def _self_map_matrices(collared, edge_uf, vertex_uf, edge_cell, vertex_cell, slot_count):
+def _self_map_matrices(collared, edge_uf, vertex_uf, edge_cell, vertex_cell):
+    """Chain matrices of the substitution self-map, read off the rule.
+
+    Each class is read at its first occurrence whose children all have
+    trusted classes.  Its face goes to those children; each root edge to
+    the child edges along the same side of the inflated tile, and each
+    root vertex to the child corner there (`TilingSystem.rule_sides`).
+    """
     system = collared.system
     n_faces = collared.count
     n_edges, n_vertices = len(edge_cell), len(vertex_cell)
@@ -422,180 +411,39 @@ def _self_map_matrices(collared, edge_uf, vertex_uf, edge_cell, vertex_cell, slo
     if system.hull_self_map == "identity":
         return ab.eye(n_vertices), ab.eye(n_edges), ab.eye(n_faces)
 
-    patch, child = collared.patch, collared.child_patch
-    cells, ccells = patch.cells, child.cells
-    child_class = {
-        f: collared.class_index[k] for f, k in collared.child_tile_class.items()
-    }
+    child_patch = collared.child_patch
     children_of: dict[int, list[int]] = {}
-    for cf, parent in enumerate(child.parents):
+    for cf, parent in enumerate(child_patch.parents):
         children_of.setdefault(parent, []).append(cf)
-
-    lam = system.inflation
     occurrences = _occurrences_by_class(collared)
+
+    def children_classes(ci: int) -> list[int]:
+        for f in occurrences.get(ci, []):
+            if all(child_patch.cells.tile_complete(cf) for cf in children_of[f]):
+                return [collared.class_index[_collared_key(child_patch, cf)]
+                        for cf in children_of[f]]
+        raise NotClosed(
+            f"no occurrence of collared class {ci} has trusted children; grow deeper"
+        )
 
     s2 = ab.zeros(n_faces, n_faces)
     s1 = ab.zeros(n_edges, n_edges)
     s0 = ab.zeros(n_vertices, n_vertices)
-
-    def child_slot_cell(cf: int, a_id: int, b_id: int):
-        """Edge cell and sign of the child face's slot traversing a -> b."""
-        loop = ccells.face_loops[cf]
-        m = len(loop)
-        for i in range(m):
-            if loop[i] == a_id and loop[(i + 1) % m] == b_id:
-                ci = child_class.get(cf)
-                if ci is None:
-                    return None
-                root, sign = edge_uf.find((ci, i))
-                return edge_cell[root], sign
-        return None
-
-    def face_image(ci: int, f: int) -> bool:
-        for cf in children_of.get(f, []):
-            cls = child_class.get(cf)
-            if cls is None:
-                return False
-            s2[cls, ci] += 1
-        return True
-
-    def edge_images(ci: int, f: int) -> bool:
-        loop = cells.face_loops[f]
-        positions = [cells.vertex_pos[v] for v in loop]
-        m = len(loop)
-        for s in range(m):
-            root, _ = edge_uf.find((ci, s))
-            if root != (ci, s):
-                continue
-            col = edge_cell[(ci, s)]
-            if any(s1[r, col] != 0 for r in range(n_edges)):
-                continue
-            a = cyc.mul_coeffs(system.n, lam, positions[s])
-            b = cyc.mul_coeffs(system.n, lam, positions[(s + 1) % m])
-            path = _segment_path(child, a, b)
-            if path is None:
-                return False
-            ok = True
-            entries = []
-            for x, y in zip(path, path[1:]):
-                res = child_slot_cell_for_edge(x, y)
-                if res is None:
-                    ok = False
-                    break
-                entries.append(res)
-            if not ok:
-                return False
-            for cell, sign in entries:
-                s1[cell, col] += sign
-        return True
-
-    def child_slot_cell_for_edge(x_id: int, y_id: int):
-        key = (x_id, y_id) if x_id < y_id else (y_id, x_id)
-        e = ccells.edge_id.get(key)
-        if e is None:
-            return None
-        for cf, _ in ccells.edge_faces[e]:
-            res = child_slot_cell(cf, x_id, y_id)
-            if res is not None:
-                return res
-        return None
-
-    def vertex_images(ci: int, f: int) -> bool:
-        loop = cells.face_loops[f]
-        for s in range(len(loop)):
-            root, _ = vertex_uf.find((ci, s))
-            if root != (ci, s):
-                continue
-            col = vertex_cell[(ci, s)]
-            if any(s0[r, col] != 0 for r in range(n_vertices)):
-                continue
-            p = cyc.mul_coeffs(system.n, lam, cells.vertex_pos[loop[s]])
-            vid = ccells.vertex_id.get(p)
-            if vid is None:
-                return False
-            placed = None
-            for cf in ccells.vertex_faces[vid]:
-                cls = child_class.get(cf)
-                if cls is None:
-                    continue
-                slot = ccells.face_loops[cf].index(vid)
-                placed = vertex_uf.find((cls, slot))[0]
-                break
-            if placed is None:
-                return False
-            s0[vertex_cell[placed], col] += 1
-        return True
-
     for ci in range(n_faces):
-        done = False
-        for f in occurrences.get(ci, []):
-            s2_backup = s2.copy()
-            s1_backup = s1.copy()
-            s0_backup = s0.copy()
-            if face_image(ci, f) and edge_images(ci, f) and vertex_images(ci, f):
-                done = True
-                break
-            s2, s1, s0 = s2_backup, s1_backup, s0_backup
-        if not done:
-            raise NotClosed(
-                f"no occurrence of collared class {ci} has trusted children; grow deeper"
-            )
+        classes = children_classes(ci)
+        for cls in classes:
+            s2[cls, ci] += 1
+        sides = system.rule_sides[_base_proto(collared.class_keys[ci])]
+        for s, side in enumerate(sides):
+            if (ci, s) in edge_cell:
+                for child, slot in side:
+                    root, sign = edge_uf.find((classes[child], slot))
+                    s1[edge_cell[root], edge_cell[ci, s]] += sign
+            if (ci, s) in vertex_cell:
+                child, slot = side[0]
+                root, _ = vertex_uf.find((classes[child], slot))
+                s0[vertex_cell[root], vertex_cell[ci, s]] += 1
     return s0, s1, s2
-
-
-def _segment_path(child: Patch, a, b):
-    """Vertices of the child patch along the segment [a, b], in order.
-
-    Exact collinearity filters candidates, but the float parameter ``t``
-    both sorts them and, with a 1e-9 margin, decides which lie on the
-    segment: the one place where a float decides membership (ROADMAP
-    item 5 plans to derive edge images combinatorially instead).
-    """
-    from .tiling import cross_is_zero
-
-    ccells = child.cells
-    n = child.system.n
-    a_id = ccells.vertex_id.get(a)
-    b_id = ccells.vertex_id.get(b)
-    if a_id is None or b_id is None:
-        return None
-    za, zb = cyc.embed_coeffs(n, a), cyc.embed_coeffs(n, b)
-    direction = cyc.sub_coeffs(b, a)
-    zd = zb - za
-    norm2 = (zd * zd.conjugate()).real
-    found = {}
-    # candidates: vertices of faces incident to a or b or near the segment;
-    # scan faces of the two flanking strips via a breadth crawl from a
-    seen_faces = set()
-    frontier = list(ccells.vertex_faces[a_id])
-    candidates = {a_id, b_id}
-    while frontier:
-        f = frontier.pop()
-        if f in seen_faces:
-            continue
-        seen_faces.add(f)
-        touching = False
-        for v in ccells.face_loops[f]:
-            pos = ccells.vertex_pos[v]
-            if cross_is_zero(n, cyc.sub_coeffs(pos, a), direction):
-                t = ((cyc.embed_coeffs(n, pos) - za) * zd.conjugate()).real / norm2
-                if -1e-9 <= t <= 1 + 1e-9:
-                    candidates.add(v)
-                    touching = True
-        if touching:
-            for v in ccells.face_loops[f]:
-                frontier.extend(ccells.vertex_faces[v])
-    for v in candidates:
-        pos = ccells.vertex_pos[v]
-        if not cross_is_zero(n, cyc.sub_coeffs(pos, a), direction):
-            continue
-        t = ((cyc.embed_coeffs(n, pos) - za) * zd.conjugate()).real / norm2
-        if -1e-9 <= t <= 1 + 1e-9:
-            found[v] = t
-    path = sorted(found, key=found.get)
-    if not path or path[0] != a_id or path[-1] != b_id:
-        return None
-    return path
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: atlas, omega, cohomology, render, compare.  Exit codes:
-0 on success, 1 when any verdict fails, 2 on parse/validation errors and
-on growth that does not close within --max-level.
+0 on success, 1 when any verdict fails, 2 on parse/validation errors, on
+growth that does not close within --max-level, on a cell with a nontrivial
+isotropy group and on a direct limit that does not stabilize.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import logging
 import os
 import sys
 
-from .atlas import NotClosed
+from .abelian import NotStabilizing
+from .atlas import IsotropyViolation, NotClosed
 from .pipeline import (
     MissingTable,
     RunConfig,
@@ -156,7 +158,8 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return _compare_command(args)
         parser.error("unknown command")
-    except (ParseError, ValidationError, RuleViolation, MissingTable, NotClosed) as exc:
+    except (ParseError, ValidationError, RuleViolation, MissingTable, NotClosed,
+            IsotropyViolation, NotStabilizing) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return 2

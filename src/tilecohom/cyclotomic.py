@@ -3,8 +3,8 @@
 Points of the plane are elements of Z[x]/Phi_N(x) evaluated at
 x = exp(2*pi*i/N); all ring arithmetic is exact on integer coefficient
 vectors of length phi(N), so equality of points is decidable.  Floating
-evaluation exists only for rendering and deterministic sorting, never
-for equality.
+evaluation exists only for validation margins and SVG rendering, never
+for membership or equality.
 
 Rigid motions are pairs (rotation index mod N, translation), applied
 rotation first.
@@ -103,6 +103,23 @@ def rotate_coeffs(n: int, coeffs: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _conjugate_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """table[j] = coordinates of zeta^-j, the conjugate of the monomial zeta^j."""
+    return tuple(_zeta_power_table(n)[(-j) % n][0] for j in range(euler_phi(n)))
+
+
+def conjugate_coeffs(n: int, coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """Complex conjugate of a reduced element: zeta^j -> zeta^-j."""
+    table = _conjugate_table(n)
+    out = [0] * len(coeffs)
+    for c, row in zip(coeffs, table):
+        if c:
+            for i, x in enumerate(row):
+                out[i] += c * x
+    return tuple(out)
+
+
 def add_coeffs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -148,86 +165,6 @@ def embed_coeffs(n: int, coeffs: tuple[int, ...]) -> complex:
     return sum(c * b for c, b in zip(coeffs, basis)) if any(coeffs) else 0j
 
 
-class CycNum:
-    """Element of Z[zeta_N], stored as a reduced coefficient vector."""
-
-    __slots__ = ("n", "coeffs", "_hash")
-
-    def __init__(self, n: int, coeffs):
-        self.n = n
-        self.coeffs = reduce_poly(n, coeffs)
-        self._hash = None
-
-    @staticmethod
-    def zero(n: int) -> "CycNum":
-        return CycNum(n, ())
-
-    @staticmethod
-    def one(n: int) -> "CycNum":
-        return CycNum(n, (1,))
-
-    @staticmethod
-    def zeta(n: int, power: int = 1) -> "CycNum":
-        return CycNum(n, [0] * (power % n) + [1])
-
-    @staticmethod
-    def integer(n: int, value: int) -> "CycNum":
-        return CycNum(n, (value,))
-
-    def _check(self, other: "CycNum"):
-        if self.n != other.n:
-            raise MixedOrder(f"rotation orders differ: {self.n} vs {other.n}")
-
-    def __add__(self, other: "CycNum") -> "CycNum":
-        self._check(other)
-        return CycNum(self.n, add_coeffs(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "CycNum") -> "CycNum":
-        self._check(other)
-        return CycNum(self.n, sub_coeffs(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> "CycNum":
-        return CycNum(self.n, neg_coeffs(self.coeffs))
-
-    def __mul__(self, other) -> "CycNum":
-        if isinstance(other, int):
-            return CycNum(self.n, tuple(other * c for c in self.coeffs))
-        self._check(other)
-        return CycNum(self.n, mul_coeffs(self.n, self.coeffs, other.coeffs))
-
-    def __rmul__(self, other) -> "CycNum":
-        return self.__mul__(other)
-
-    def conjugate(self) -> "CycNum":
-        out = zero_coeffs(self.n)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                mono = rotate_coeffs(self.n, one_coeffs(self.n), (-j) % self.n)
-                out = tuple(x + c * y for x, y in zip(out, mono))
-        return CycNum(self.n, out)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def embed(self) -> complex:
-        return embed_coeffs(self.n, self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CycNum)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.n, self.coeffs))
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"CycNum({self.n}, {list(self.coeffs)})"
-
-
 @dataclass(frozen=True)
 class RigidMotion:
     """Orientation-preserving isometry: rotate by 2*pi*rot/N, then translate."""
@@ -252,20 +189,13 @@ class RigidMotion:
     def translation(n: int, trans) -> "RigidMotion":
         return RigidMotion(n, 0, trans)
 
-    def _check(self, n: int):
-        if self.n != n:
-            raise MixedOrder(f"rotation orders differ: {self.n} vs {n}")
-
     def apply_coeffs(self, coeffs: tuple[int, ...]) -> tuple[int, ...]:
         return add_coeffs(rotate_coeffs(self.n, coeffs, self.rot), self.trans)
 
-    def apply(self, p: CycNum) -> CycNum:
-        self._check(p.n)
-        return CycNum(self.n, self.apply_coeffs(p.coeffs))
-
     def compose(self, other: "RigidMotion") -> "RigidMotion":
         """self after other: (self.compose(other))(p) == self(other(p))."""
-        self._check(other.n)
+        if self.n != other.n:
+            raise MixedOrder(f"rotation orders differ: {self.n} vs {other.n}")
         trans = add_coeffs(
             rotate_coeffs(self.n, other.trans, self.rot), self.trans
         )

@@ -237,11 +237,14 @@ def quotient_stage(run: Run):
             "self_map": [matrix_json(s) for s in cx.self_map],
         },
     )
+    invariant_ranks = [d.invariants.free_rank for d in torus[:len(quot)]]
+    quotient_ranks = [q.group.free_rank for q in quot]
+    passed = invariant_ranks == quotient_ranks
     run.report["verdicts"].append({
         "name": "quotient_rank_equals_invariant_rank",
-        "passed": all(d.invariants.free_rank == q.group.free_rank
-                      for d, q in zip(torus, quot)),
-        "details": {},
+        "passed": passed,
+        "details": {} if passed else {"invariant_ranks": invariant_ranks,
+                                      "quotient_ranks": quotient_ranks},
     })
 
 

@@ -5,11 +5,9 @@ with exact Z[zeta_N] vertex coordinates, an inflation constant from the
 same ring and, for each prototile, a list of placements that exactly
 tile the inflated prototile.  Substitution, patch growth and the derived
 cell structure (vertices, edges, faces with incidences) all run on exact
-coordinates; floating point appears only inside validation predicates
-with wide margins, with one exception outside this module:
-`approximant._segment_path` decides with a float parameter and a 1e-9
-margin which collinear child vertices lie on a parent edge (ROADMAP
-item 5 plans to remove it).
+coordinates.  Floating point appears only in validation margins (the
+orientation of a prototile) and in SVG rendering; it never decides
+membership or equality.
 
 Systems may carry regrouping rules that merge native tiles into larger
 public tiles (e.g. half-tiles into whole ones); the public cell
@@ -161,10 +159,30 @@ class TilingSystem:
         composed = motion.compose(tile.motion(self.n))
         return Tile(tile.proto, composed.rot, composed.trans)
 
+    @cached_property
+    def rule_sides(self) -> dict[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """Each prototile's inflated boundary as edges of its rule's children.
+
+        Side s of prototile p, ``rule_sides[p][s]``, lists in order the
+        ``(child, slot)`` edges from corner s to corner s + 1 of the
+        inflated tile, where ``child`` indexes ``placements[p]``; the tail
+        of a side's first edge is corner s.  `substitute_tile` keeps the
+        order of the children and rigid motions keep slot numbers, so the
+        table holds for every placement of the prototile.  Building it
+        validates each rule (`RuleViolation`).
+        """
+        return {proto.id: _validate_rule_for(self, proto.id) for proto in self.prototiles}
+
 
 # ---------------------------------------------------------------------------
 # exact area and simple float-margin predicates (validation only)
 # ---------------------------------------------------------------------------
+
+def _cross(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """conj(a)*b - a*conj(b): 2i times the cross product of a and b."""
+    x = cyc.mul_coeffs(n, cyc.conjugate_coeffs(n, a), b)
+    return cyc.sub_coeffs(x, cyc.conjugate_coeffs(n, x))
+
 
 def doubled_area_element(n: int, loop: list[tuple[int, ...]]) -> tuple[int, ...]:
     """Sum of conj(p_i)*p_{i+1} - p_i*conj(p_{i+1}): 4i times the signed area.
@@ -174,11 +192,7 @@ def doubled_area_element(n: int, loop: list[tuple[int, ...]]) -> tuple[int, ...]
     """
     total = cyc.zero_coeffs(n)
     for i, p in enumerate(loop):
-        q = loop[(i + 1) % len(loop)]
-        pc = cyc.CycNum(n, p)
-        qc = cyc.CycNum(n, q)
-        term = pc.conjugate() * qc - pc * qc.conjugate()
-        total = cyc.add_coeffs(total, term.coeffs)
+        total = cyc.add_coeffs(total, _cross(n, p, loop[(i + 1) % len(loop)]))
     return total
 
 
@@ -191,10 +205,9 @@ def _signed_area_float(n: int, loop: list[tuple[int, ...]]) -> float:
     return s / 2.0
 
 
-def cross_is_zero(n: int, a, b) -> bool:
-    """Exact test that vectors a, b (ring elements) are parallel."""
-    ac, bc = cyc.CycNum(n, a), cyc.CycNum(n, b)
-    return (ac.conjugate() * bc - ac * bc.conjugate()).is_zero()
+def cross_is_zero(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Exact test that vectors a, b (reduced ring elements) are parallel."""
+    return not any(_cross(n, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +648,7 @@ def validate_system(system: TilingSystem):
             )
     _check_prototile_isotropy(system)
     if system.placements:
-        for proto in system.prototiles:
-            _validate_rule_for(system, proto.id)
+        system.rule_sides  # walks and checks every rule's boundary
         _check_primitivity(system)
 
 
@@ -679,52 +691,57 @@ def _check_primitivity(system: TilingSystem):
         raise ValidationError("a prototile has an empty substitution")
 
 
-def _validate_rule_for(system: TilingSystem, proto_id: int):
+def _validate_rule_for(system: TilingSystem, proto_id: int) -> tuple:
+    """Walk the boundary of a rule's children; return the inflated sides.
+
+    The rule must exactly tile the inflated prototile: the children's
+    unshared edges form one cycle through the inflated corners in order,
+    and each side is straight.  The walk yields the side table of
+    `TilingSystem.rule_sides`.
+    """
     n = system.n
     proto = system.prototiles[proto_id]
     children = system.placements[proto_id]
     inflated = [cyc.mul_coeffs(n, system.inflation, v) for v in proto.vertices]
 
     child_area = cyc.zero_coeffs(n)
-    segments: dict[tuple, list[tuple[tuple, tuple]]] = {}
-    for t in children:
+    segments: dict[tuple, list[tuple[tuple, tuple, tuple[int, int]]]] = {}
+    for child, t in enumerate(children):
         loop = system.placed_vertices(t)
         child_area = cyc.add_coeffs(child_area, doubled_area_element(n, loop))
-        for i, a in enumerate(loop):
-            b = loop[(i + 1) % len(loop)]
+        for slot, a in enumerate(loop):
+            b = loop[(slot + 1) % len(loop)]
             key = tuple(sorted((a, b)))
-            segments.setdefault(key, []).append((a, b))
+            segments.setdefault(key, []).append((a, b, (child, slot)))
 
     if child_area != doubled_area_element(n, inflated):
         raise RuleViolation(f"rule for {proto.label!r}: area mismatch")
 
-    boundary = {}
+    boundary = {}  # tail -> (head, (child, slot)) of each unshared edge
     for key, occurrences in segments.items():
         if len(occurrences) > 2:
             raise RuleViolation(f"rule for {proto.label!r}: an edge is used 3+ times")
         if len(occurrences) == 2:
-            a0, b0 = occurrences[0]
-            a1, b1 = occurrences[1]
-            if (a0, b0) == (a1, b1):
+            if occurrences[0][:2] == occurrences[1][:2]:
                 raise RuleViolation(
                     f"rule for {proto.label!r}: overlapping tiles along an edge"
                 )
         else:
-            a, b = occurrences[0]
+            a, b, edge = occurrences[0]
             if a in boundary:
                 raise RuleViolation(f"rule for {proto.label!r}: boundary branches")
-            boundary[a] = b
+            boundary[a] = (b, edge)
 
     if not boundary:
         raise RuleViolation(f"rule for {proto.label!r}: no boundary found")
     start = next(iter(boundary))
     walk = [start]
-    cur = boundary[start]
+    cur = boundary[start][0]
     while cur != start:
         walk.append(cur)
         if cur not in boundary or len(walk) > len(boundary):
             raise RuleViolation(f"rule for {proto.label!r}: boundary is not one cycle")
-        cur = boundary[cur]
+        cur = boundary[cur][0]
     if len(walk) != len(boundary):
         raise RuleViolation(f"rule for {proto.label!r}: boundary is not one cycle")
 
@@ -742,20 +759,23 @@ def _validate_rule_for(system: TilingSystem, proto_id: int):
     if ordered != sorted(corner_positions):
         raise RuleViolation(f"rule for {proto.label!r}: corners out of order")
     # every intermediate boundary vertex lies on the side between its corners
-    for ci in range(k):
-        lo = corner_positions[(shift + ci) % k]
-        hi = corner_positions[(shift + ci + 1) % k]
+    sides = []
+    for s in range(k):
+        lo, hi = corner_positions[s], corner_positions[(s + 1) % k]
         side_start = walk[lo]
-        side_end = walk[hi]
-        direction = cyc.sub_coeffs(side_end, side_start)
+        direction = cyc.sub_coeffs(walk[hi], side_start)
+        side = []
         idx = lo
         while idx != hi:
-            p = walk[idx % len(walk)]
+            p = walk[idx]
             if not cross_is_zero(n, cyc.sub_coeffs(p, side_start), direction):
                 raise RuleViolation(
                     f"rule for {proto.label!r}: boundary leaves the inflated tile"
                 )
+            side.append(boundary[p][1])
             idx = (idx + 1) % len(walk)
+        sides.append(tuple(side))
+    return tuple(sides)
 
 
 # ---------------------------------------------------------------------------

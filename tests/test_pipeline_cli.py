@@ -1,5 +1,7 @@
 """Batch pipeline, report determinism, SVG rendering, and the CLI surface."""
 
+import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -160,6 +162,22 @@ class TestPipeline:
         with pytest.raises(MissingTable):
             compare_routes(square_run.report, {"routes": {}})
 
+    def test_quotient_rank_verdict_details_on_failure(self, square_run):
+        name = "quotient_rank_equals_invariant_rank"
+        verdicts = {v["name"]: v for v in square_run.report["verdicts"]}
+        assert verdicts[name] == {"name": name, "passed": True, "details": {}}
+        run = copy.copy(square_run)
+        run.report = {"routes": {"mapping_torus": {}}, "verdicts": []}
+        # the square has no rotation, so its quotient hull is its hull
+        run.hull = list(square_run.hull)
+        run.hull[1] = dataclasses.replace(run.hull[1], group=ab.FgAbGroup(3))
+        pipeline.quotient_stage(run)
+        assert run.report["verdicts"] == [{
+            "name": name,
+            "passed": False,
+            "details": {"invariant_ranks": [1, 2, 1], "quotient_ranks": [1, 3, 1]},
+        }]
+
     @pytest.mark.parametrize("system,route", sorted(PINNED_REPORTS))
     def test_report_bytes_pinned(self, system, route, request):
         sha256, session_run = PINNED_REPORTS[system, route]
@@ -314,6 +332,22 @@ class TestCli:
     def test_growth_not_closing_exit_code(self, argv, message, capsys):
         assert main(argv) == 2
         assert f"{message} still changing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change,argv,message", [
+        ({"rotation_order": 2}, ["atlas"], "edge class 0 has 2 self-motions"),
+        ({"rotation_order": 2}, ["omega"], "edge class 0 has 2 self-motions"),
+        ({"rotation_order": 2}, ["cohomology"], "edge class 0 has 2 self-motions"),
+        # the square's identity self-map stands in for its substitution
+        ({"hull_self_map": "substitution"}, ["cohomology", "--route", "mapping-torus"],
+         "image tower still shrinking after 20 stages"),
+    ], ids=["isotropy-atlas", "isotropy-omega", "isotropy-cohomology", "not-stabilizing"])
+    def test_isotropy_and_unstable_limit_exit_code(self, change, argv, message, tmp_path,
+                                                   capsys):
+        data = json.loads(Path(system_path("square")).read_text())
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps(dict(data, **change)))
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_cohomology_default_route_on_symbolic_system(self, capsys):
         # a symbolic system has no spectral route: "both" runs the mapping torus only

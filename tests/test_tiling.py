@@ -58,6 +58,18 @@ class TestLoading:
         with pytest.raises(RuleViolation):
             system_from_dict(data)
 
+    def test_rule_boundary_walked_once_per_prototile(self, monkeypatch):
+        from tilecohom import tiling
+
+        calls = []
+        walk = tiling._validate_rule_for
+        monkeypatch.setattr(tiling, "_validate_rule_for",
+                            lambda system, proto: calls.append(proto) or walk(system, proto))
+        system = system_from_dict(json.loads(Path(system_path("penrose")).read_text()))
+        assert calls == [0, 1, 2, 3]
+        assert sorted(system.rule_sides) == calls
+        assert calls == [0, 1, 2, 3]
+
     def test_rotation_order_must_divide(self):
         data = json.loads(Path(system_path("square")).read_text())
         data["rotation_order"] = 3
@@ -114,6 +126,29 @@ class TestSubstitution:
             i for g in merged.members for i in g
         }
         assert all(not cells.tile_complete(f) for f in unused)
+
+
+@pytest.mark.parametrize("system_fixture", ["penrose_system", "square_system"])
+def test_rule_sides_trace_the_inflated_boundary(system_fixture, request):
+    # side s runs edge to edge from lambda*v_s to lambda*v_{s+1}, and the
+    # tail of its first edge is the corner lambda*v_s
+    system = request.getfixturevalue(system_fixture)
+    n = system.n
+    for proto in system.prototiles:
+        loops = [system.placed_vertices(t) for t in system.placements[proto.id]]
+        corners = [cyc.mul_coeffs(n, system.inflation, v) for v in proto.vertices]
+        sides = system.rule_sides[proto.id]
+        assert len(sides) == len(corners)
+        for s, side in enumerate(sides):
+            assert side
+            edges = [(loops[j][i], loops[j][(i + 1) % len(loops[j])]) for j, i in side]
+            assert all(head == tail for (_, head), (tail, _) in zip(edges, edges[1:]))
+            total = cyc.zero_coeffs(n)
+            for tail, head in edges:
+                total = cyc.add_coeffs(total, cyc.sub_coeffs(head, tail))
+            side_vector = cyc.sub_coeffs(proto.vertices[(s + 1) % len(sides)], proto.vertices[s])
+            assert total == cyc.mul_coeffs(n, system.inflation, side_vector)
+            assert edges[0][0] == corners[s]
 
 
 class TestCellStructure:
