@@ -13,6 +13,7 @@ expressed relative to these canonical representatives.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .tiling import (
@@ -97,19 +98,20 @@ def _edge_star(patch: Patch, e: int) -> tuple[Patch, tuple, tuple]:
     return star, cells.vertex_pos[pa], cells.vertex_pos[pb]
 
 
-def _class_sets(pub: Patch):
+def _cell_keys(pub: Patch):
+    """Rigid keys of every tile, complete edge and complete vertex of a patch."""
     cells = pub.cells
-    tile_keys = set()
-    for t in pub.tiles:
-        tile_keys.add(canonical_key(Patch(pub.system, [t]), "rigid", center=("t", t)))
-    edge_keys = set()
+    tile_keys = [
+        canonical_key(Patch(pub.system, [t]), "rigid", center=("t", t)) for t in pub.tiles
+    ]
+    edge_keys = []
     for e in cells.complete_edges():
         star, pa, pb = _edge_star(pub, e)
-        edge_keys.add(min(oriented_edge_key(star, pa, pb), oriented_edge_key(star, pb, pa)))
-    vertex_keys = set()
+        edge_keys.append(min(oriented_edge_key(star, pa, pb), oriented_edge_key(star, pb, pa)))
+    vertex_keys = []
     for v in cells.complete_vertices():
         star, center = _vertex_star(pub, v)
-        vertex_keys.add(canonical_key(star, "rigid", center=center))
+        vertex_keys.append(canonical_key(star, "rigid", center=center))
     return tile_keys, edge_keys, vertex_keys
 
 
@@ -126,59 +128,45 @@ def grow_star_closure(
     prev = None
     for level in range(1, max_level + 1):
         pub = patch.regrouped()
-        sets = _class_sets(pub)
+        keys = _cell_keys(pub)
+        sets = tuple(set(k) for k in keys)
         if prev is not None and sets == prev and all(sets):
-            return _build_atlas(pub, level)
+            return _build_atlas(pub, level, keys)
         prev = sets
         if level < max_level:
             patch = patch.substitute(1)
     raise NotClosed(f"star classes still changing at level {max_level}")
 
 
-def _build_atlas(pub: Patch, level: int) -> StarAtlas:
+def _build_atlas(pub: Patch, level: int, keys) -> StarAtlas:
+    """The atlas of the closing level from its per-cell keys (see `_cell_keys`)."""
     system = pub.system
-    cells = pub.cells
+    tile_keys, edge_keys, vertex_keys = (Counter(k) for k in keys)
 
     tile_classes: dict[tuple, StarClass] = {}
-    for t in pub.tiles:
-        tp = Patch(system, [t])
-        key = canonical_key(tp, "rigid", center=("t", t))
-        cls = tile_classes.get(key)
-        if cls is None:
-            rep, center = patch_from_key(system, key)
-            cls = StarClass("tile", -1, key, patch=rep, center=center)
-            tile_classes[key] = cls
-        cls.occurrences += 1
+    for key, count in tile_keys.items():
+        rep, center = patch_from_key(system, key)
+        tile_classes[key] = StarClass("tile", -1, key, patch=rep, center=center, occurrences=count)
     tiles = _finalize(tile_classes)
     tile_index = {c.key: c.index for c in tiles}
 
     edge_classes: dict[tuple, StarClass] = {}
-    for e in cells.complete_edges():
-        star, pa, pb = _edge_star(pub, e)
-        key = min(oriented_edge_key(star, pa, pb), oriented_edge_key(star, pb, pa))
-        cls = edge_classes.get(key)
-        if cls is None:
-            cls = StarClass("edge", -1, key)
-            _orient_edge_class(cls, system, key, tile_index)
-            edge_classes[key] = cls
-        cls.occurrences += 1
+    for key, count in edge_keys.items():
+        cls = StarClass("edge", -1, key, occurrences=count)
+        _orient_edge_class(cls, system, key, tile_index)
+        edge_classes[key] = cls
     edges = _finalize(edge_classes)
     edge_index = {c.key: (c.index, c.oriented_key) for c in edges}
 
     vertex_classes: dict[tuple, StarClass] = {}
-    for v in cells.complete_vertices():
-        star, center = _vertex_star(pub, v)
-        key = canonical_key(star, "rigid", center=center)
-        cls = vertex_classes.get(key)
-        if cls is None:
-            rep, rep_center = patch_from_key(system, key)
-            cls = StarClass("vertex", -1, key, patch=rep, center=rep_center)
-            cls.symmetry_order = len(
-                matching_motions(rep, rep, center1=rep_center, center2=rep_center)
-            )
-            cls.slots = _vertex_slots(rep, rep_center, edge_index)
-            vertex_classes[key] = cls
-        cls.occurrences += 1
+    for key, count in vertex_keys.items():
+        rep, rep_center = patch_from_key(system, key)
+        cls = StarClass("vertex", -1, key, patch=rep, center=rep_center, occurrences=count)
+        cls.symmetry_order = len(
+            matching_motions(rep, rep, center1=rep_center, center2=rep_center)
+        )
+        cls.slots = _vertex_slots(rep, rep_center, edge_index)
+        vertex_classes[key] = cls
     vertices = _finalize(vertex_classes)
 
     return StarAtlas(

@@ -175,7 +175,15 @@ class RigidMotion:
 
     def __post_init__(self):
         object.__setattr__(self, "rot", self.rot % self.n)
-        object.__setattr__(self, "trans", reduce_poly(self.n, self.trans))
+        trans = self.trans
+        # compose, invert, rotation and identity pass reduced phi(N)-tuples,
+        # on which reduce_poly is the identity
+        if not (
+            type(trans) is tuple
+            and len(trans) == euler_phi(self.n)
+            and all(type(c) is int for c in trans)
+        ):
+            object.__setattr__(self, "trans", reduce_poly(self.n, trans))
 
     @staticmethod
     def identity(n: int) -> "RigidMotion":

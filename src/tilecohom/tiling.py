@@ -90,6 +90,9 @@ class TilingSystem:
     hull_self_map: str = "substitution"
     quotient_hull: tuple[FgAbGroup, ...] | None = None
     is_public_view: bool = False
+    # rigid keys by translation normal form, filled by canonical_key and
+    # oriented_edge_key for patches over this system
+    rigid_keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -156,8 +159,9 @@ class TilingSystem:
         return out
 
     def transform_tile(self, motion: RigidMotion, tile: Tile) -> Tile:
-        composed = motion.compose(tile.motion(self.n))
-        return Tile(tile.proto, composed.rot, composed.trans)
+        """The tile moved by `motion`, i.e. ``motion.compose(tile.motion(n))``."""
+        trans = cyc.add_coeffs(cyc.rotate_coeffs(self.n, tile.trans, motion.rot), motion.trans)
+        return Tile(tile.proto, (motion.rot + tile.rot) % self.n, trans)
 
     @cached_property
     def rule_sides(self) -> dict[int, tuple[tuple[tuple[int, int], ...], ...]]:
@@ -466,8 +470,7 @@ def _rotate_center(system: TilingSystem, center, k: int):
     if kind == "e":
         return ("e", tuple(cyc.rotate_coeffs(n, p, k) for p in data))
     if kind == "t":
-        m = RigidMotion.rotation(n, k).compose(data.motion(n))
-        return ("t", Tile(data.proto, m.rot, m.trans))
+        return ("t", system.transform_tile(RigidMotion.rotation(n, k), data))
     raise ValueError(f"bad center kind {kind!r}")
 
 
@@ -489,6 +492,14 @@ def canonical_key(patch: Patch, mode: str, center=None) -> tuple:
     Keys are equal iff the (marked) patches are equivalent under the chosen
     group.  `center` marks a cell: ("v", pos), ("e", (pos, pos)) with the
     pair unordered, or ("t", Tile).
+
+    Rigid keys with a "v" or "t" center are memoized in the
+    ``rigid_keys`` dict of ``patch.system``, which owns it, by the
+    patch's translation normal form: its serialization anchored at the
+    center point or the center tile's translation.  The rigid key is a
+    minimum over rotations and anchors, so it depends only on that
+    translation class.  Translation keys and other rigid keys are not
+    memoized.
     """
     system = patch.system
     if mode == "translation":
@@ -497,6 +508,13 @@ def canonical_key(patch: Patch, mode: str, center=None) -> tuple:
         rotations = system.group_rotation_indices()
     else:
         raise ValueError("mode must be 'translation' or 'rigid'")
+    memo_key = None
+    if mode == "rigid" and center is not None and center[0] in ("v", "t"):
+        anchor = center[1] if center[0] == "v" else center[1].trans
+        memo_key = _serialize(system, patch.tiles, anchor, center)
+        best = system.rigid_keys.get(memo_key)
+        if best is not None:
+            return best
     best = None
     for k in rotations:
         if k == 0:
@@ -511,6 +529,8 @@ def canonical_key(patch: Patch, mode: str, center=None) -> tuple:
             key = _serialize(system, tiles, anchor, cent)
             if best is None or key < best:
                 best = key
+    if memo_key is not None:
+        system.rigid_keys[memo_key] = best
     return best
 
 
@@ -518,10 +538,16 @@ def oriented_edge_key(patch: Patch, tail, head) -> tuple:
     """Canonical form of a patch with a marked *oriented* edge, up to rigid motion.
 
     The minimum is taken over rotations only (not over the two orientations),
-    so reversing (tail, head) may give a different key.
+    so reversing (tail, head) may give a different key.  Like the centred
+    keys of `canonical_key`, the key is memoized in ``patch.system.rigid_keys``
+    by the translation normal form, here the serialization anchored at
+    `tail` with center ("e", (tail, head)), tagged "oe".
     """
     system = patch.system
-    best = None
+    memo_key = ("oe", _serialize(system, patch.tiles, tail, ("e", (tail, head))))
+    best = system.rigid_keys.get(memo_key)
+    if best is not None:
+        return best
     for k in system.group_rotation_indices():
         motion = RigidMotion.rotation(system.n, k)
         if k == 0:
@@ -535,6 +561,7 @@ def oriented_edge_key(patch: Patch, tail, head) -> tuple:
             key = _serialize(system, tiles, anchor, ("e", (t2, h2)))
             if best is None or key < best:
                 best = key
+    system.rigid_keys[memo_key] = best
     return best
 
 

@@ -1,6 +1,7 @@
 """Star atlas: closure, classes, symmetry, isotropy."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -9,14 +10,21 @@ from conftest import expected_values, system_path
 from tilecohom.atlas import (
     IsotropyViolation,
     NotClosed,
-    check_isotropy,
-    grow_star_closure,
+    _edge_star,
     _vertex_star,
+    atlas_edge_lookup,
+    atlas_vertex_lookup,
+    check_isotropy,
+    edge_occurrence,
+    grow_star_closure,
 )
+from tilecohom.cyclotomic import RigidMotion, euler_phi
 from tilecohom.tiling import (
     Patch,
     canonical_key,
+    load_system,
     matching_motions,
+    oriented_edge_key,
     system_from_dict,
 )
 from tilecohom.winding import dagger_orders
@@ -86,6 +94,80 @@ class TestPenroseAtlas:
                 star, center = _vertex_star(sub, v)
                 key = canonical_key(star, "rigid", center=center)
                 assert key in lookup
+
+
+class TestRigidKeyMemo:
+    """Rigid keys are memoized per TilingSystem by translation normal form."""
+
+    def test_fresh_keys_equal_memoized_keys(self, penrose_atlas):
+        # every key of the audit patch, computed in full on a fresh system
+        # (memo emptied before each call), equals the session system's key
+        patch = penrose_atlas.audit_patch
+        fresh = load_system(system_path("penrose")).public_system
+        assert fresh.rigid_keys == {}
+        cells = patch.cells
+        for v in cells.complete_vertices():
+            star, center = _vertex_star(patch, v)
+            fresh.rigid_keys.clear()
+            assert canonical_key(Patch(fresh, star.tiles), "rigid", center=center) == \
+                canonical_key(star, "rigid", center=center)
+        for e in cells.complete_edges():
+            star, pa, pb = _edge_star(patch, e)
+            for tail, head in ((pa, pb), (pb, pa)):
+                fresh.rigid_keys.clear()
+                assert oriented_edge_key(Patch(fresh, star.tiles), tail, head) == \
+                    oriented_edge_key(star, tail, head)
+        for t in patch.tiles:
+            fresh.rigid_keys.clear()
+            assert canonical_key(Patch(fresh, [t]), "rigid", center=("t", t)) == \
+                canonical_key(Patch(patch.system, [t]), "rigid", center=("t", t))
+
+    def test_memo_owned_by_each_system(self, penrose_system, penrose_atlas, square_run):
+        public = penrose_atlas.system
+        assert public is penrose_system.public_system
+        assert public.rigid_keys
+        assert not penrose_system.rigid_keys.keys() & public.rigid_keys.keys()
+        square = square_run.atlas.system
+        assert square.rigid_keys
+        assert not square.rigid_keys.keys() & public.rigid_keys.keys()
+        # the memo takes no part in comparing systems
+        assert load_system(system_path("penrose")) == penrose_system
+
+    def test_classes_invariant_under_a_seeded_rigid_motion(self, penrose_atlas):
+        # metamorphic: move the whole audit patch by a group rotation and a
+        # nonzero translation; every cell keeps its class
+        rng = random.Random(20261018)
+        system = penrose_atlas.system
+        n = system.n
+        shift = (0,) * euler_phi(n)
+        while not any(shift):
+            shift = tuple(rng.randint(-3, 3) for _ in range(euler_phi(n)))
+        motion = RigidMotion(n, rng.choice(system.group_rotation_indices()[1:]), shift)
+        patch = penrose_atlas.audit_patch
+        moved = patch.transform(motion)
+        cells, moved_cells = patch.cells, moved.cells
+        assert len(moved_cells.complete_vertices()) == len(cells.complete_vertices())
+        assert len(moved_cells.complete_edges()) == len(cells.complete_edges())
+
+        vertex_index = atlas_vertex_lookup(penrose_atlas)
+        for v in cells.complete_vertices():
+            mv = moved_cells.vertex_id[motion.apply_coeffs(cells.vertex_pos[v])]
+            star, center = _vertex_star(patch, v)
+            moved_star, moved_center = _vertex_star(moved, mv)
+            assert vertex_index[canonical_key(moved_star, "rigid", center=moved_center)] == \
+                vertex_index[canonical_key(star, "rigid", center=center)]
+
+        edge_index = atlas_edge_lookup(penrose_atlas)
+        for e in cells.complete_edges():
+            idx, tail, head = edge_occurrence(patch, e, edge_index)
+            ends = sorted(
+                moved_cells.vertex_id[motion.apply_coeffs(cells.vertex_pos[p])]
+                for p in cells.edge_ends[e]
+            )
+            me = moved_cells.edge_id[tuple(ends)]
+            assert edge_occurrence(moved, me, edge_index) == (
+                idx, motion.apply_coeffs(tail), motion.apply_coeffs(head)
+            )
 
 
 class TestSquareAtlas:

@@ -151,6 +151,19 @@ class TestRigidMotion:
             assert a.compose(a.invert()).is_identity()
             assert a.invert().apply_coeffs(a.apply_coeffs(p)) == p
 
+    @pytest.mark.parametrize("n", [4, 5, 8, 10])
+    def test_translation_is_reduced_whatever_its_length(self, n):
+        # reduced phi(N)-tuples skip reduce_poly; every other input goes through it
+        rng = random.Random(n)
+        phi = euler_phi(n)
+        for length in (1, phi - 1, phi, phi + 1, 2 * n):
+            for _ in range(20):
+                t = tuple(rng.randint(-9, 9) for _ in range(length))
+                k = rng.randrange(n)
+                assert RigidMotion(n, k, t).trans == reduce_poly(n, t)
+                assert RigidMotion(n, k, list(t)).trans == reduce_poly(n, t)
+                assert type(RigidMotion(n, k, list(t)).trans) is tuple
+
     def test_mixed_order_rejected(self):
         # a coefficient vector does not carry its order: a point of Z[i]
         # meets a motion over Z[zeta_10] as a translation
