@@ -93,20 +93,23 @@ class _SignedUnionFind:
 
 @dataclass
 class CollaredTiles:
-    """Closed set of collared tile classes with a grown patch for reading data."""
+    """Closed set of collared tile classes and the data that glues them.
+
+    Classes are indexed in sorted-key order.  Identification pairs are
+    sorted ``((class, slot), (class, slot))`` entries, so that cell
+    numbering is reproducible across processes.
+    """
 
     system: TilingSystem
     level: int
-    patch: Patch = field(repr=False)
-    child_patch: Patch = field(repr=False)
     class_keys: list[tuple]
-    class_index: dict = field(repr=False)
-    tile_class: dict = field(repr=False)        # trusted tile index -> class
-    edge_idents: set = field(repr=False)
-    vertex_idents: set = field(repr=False)
     # class index -> index of its rotation by one group step; None when
     # the rotation group is trivial
     class_rotation: list[int] | None = field(repr=False)
+    # class index -> classes of its children, in `substitute_tile` order
+    children: list[tuple[int, ...]] = field(repr=False)
+    edge_idents: list = field(repr=False)
+    vertex_idents: list = field(repr=False)
 
     @property
     def count(self) -> int:
@@ -197,9 +200,14 @@ def collar(system: TilingSystem, max_level: int = 14) -> CollaredTiles:
     The observed class set must also be closed under the rotation group
     (an eventually-true property of primitive rules with a rotation
     group); growth continues until it is.
+
+    Each class's children are read at its first occurrence in the level
+    before the closing one.  That tile's corona lies in its patch, and
+    every tile touching one of its children is a child of that corona, so
+    the children are trusted in the closing patch.
     """
     patch = prototile_patch(system, 0).substitute(1)
-    prev = None
+    prev = prev_classes = None
     for level in range(1, max_level + 1):
         tile_class = _trusted_classes(patch)
         keys = frozenset(tile_class.values())
@@ -214,22 +222,32 @@ def collar(system: TilingSystem, max_level: int = 14) -> CollaredTiles:
             class_keys = sorted(keys)
             class_index = {k: i for i, k in enumerate(class_keys)}
             one_step = [class_index[rotated[k]] for k in class_keys] if rotated else None
+            first = {}
+            for f, key in prev_classes.items():
+                first.setdefault(key, f)
+            children = {f: [] for f in first.values()}
+            for cf, f in enumerate(patch.parents):
+                if f in children:
+                    children[f].append(class_index[tile_class[cf]])
             return CollaredTiles(
                 system=system,
                 level=level,
-                patch=patch,
-                child_patch=patch.substitute(1),
                 class_keys=class_keys,
-                class_index=class_index,
-                tile_class=tile_class,
-                edge_idents=edge_pairs,
-                vertex_idents=vertex_pairs,
                 class_rotation=one_step,
+                children=[tuple(children[first[k]]) for k in class_keys],
+                edge_idents=_indexed(edge_pairs, class_index),
+                vertex_idents=_indexed(vertex_pairs, class_index),
             )
-        prev = signature
+        prev, prev_classes = signature, tile_class
         if level < max_level:
             patch = patch.substitute(1)
     raise NotClosed(f"collared classes still changing at level {max_level}")
+
+
+def _indexed(pairs: set, class_index: dict) -> list:
+    return sorted(
+        ((class_index[ka], sa), (class_index[kb], sb)) for (ka, sa), (kb, sb) in pairs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -313,20 +331,10 @@ def build_ap_complex(collared: CollaredTiles) -> ApproximantComplex:
         for j in range(system.rotation_order):
             yield ((class_rot[j][ia], sa), (class_rot[j][ib], sb))
 
-    # identification pairs are re-expressed through class indices and sorted
-    # so that cell numbering is reproducible across processes
-    edge_pairs = sorted(
-        ((collared.class_index[ka], sa), (collared.class_index[kb], sb))
-        for (ka, sa), (kb, sb) in collared.edge_idents
-    )
-    vertex_pairs = sorted(
-        ((collared.class_index[ka], sa), (collared.class_index[kb], sb))
-        for (ka, sa), (kb, sb) in collared.vertex_idents
-    )
-    for pair_a, pair_b in edge_pairs:
+    for pair_a, pair_b in collared.edge_idents:
         for (ja, ssa), (jb, ssb) in orbit_pairs(pair_a, pair_b):
             edge_uf.union((ja, ssa), (jb, ssb), -1)
-    for pair_a, pair_b in vertex_pairs:
+    for pair_a, pair_b in collared.vertex_idents:
         for (ja, ssa), (jb, ssb) in orbit_pairs(pair_a, pair_b):
             vertex_uf.union((ja, ssa), (jb, ssb), 1)
 
@@ -389,20 +397,13 @@ def _base_proto(key: tuple) -> int:
     return cdata[0]
 
 
-def _occurrences_by_class(collared: CollaredTiles) -> dict:
-    out: dict[int, list[int]] = {}
-    for f, key in collared.tile_class.items():
-        out.setdefault(collared.class_index[key], []).append(f)
-    return out
-
-
 def _self_map_matrices(collared, edge_uf, vertex_uf, edge_cell, vertex_cell):
     """Chain matrices of the substitution self-map, read off the rule.
 
-    Each class is read at its first occurrence whose children all have
-    trusted classes.  Its face goes to those children; each root edge to
-    the child edges along the same side of the inflated tile, and each
-    root vertex to the child corner there (`TilingSystem.rule_sides`).
+    Each class's face goes to its children (`CollaredTiles.children`);
+    each root edge to the child edges along the same side of the inflated
+    tile, and each root vertex to the child corner there
+    (`TilingSystem.rule_sides`).
     """
     system = collared.system
     n_faces = collared.count
@@ -411,26 +412,10 @@ def _self_map_matrices(collared, edge_uf, vertex_uf, edge_cell, vertex_cell):
     if system.hull_self_map == "identity":
         return ab.eye(n_vertices), ab.eye(n_edges), ab.eye(n_faces)
 
-    child_patch = collared.child_patch
-    children_of: dict[int, list[int]] = {}
-    for cf, parent in enumerate(child_patch.parents):
-        children_of.setdefault(parent, []).append(cf)
-    occurrences = _occurrences_by_class(collared)
-
-    def children_classes(ci: int) -> list[int]:
-        for f in occurrences.get(ci, []):
-            if all(child_patch.cells.tile_complete(cf) for cf in children_of[f]):
-                return [collared.class_index[_collared_key(child_patch, cf)]
-                        for cf in children_of[f]]
-        raise NotClosed(
-            f"no occurrence of collared class {ci} has trusted children; grow deeper"
-        )
-
     s2 = ab.zeros(n_faces, n_faces)
     s1 = ab.zeros(n_edges, n_edges)
     s0 = ab.zeros(n_vertices, n_vertices)
-    for ci in range(n_faces):
-        classes = children_classes(ci)
+    for ci, classes in enumerate(collared.children):
         for cls in classes:
             s2[cls, ci] += 1
         sides = system.rule_sides[_base_proto(collared.class_keys[ci])]

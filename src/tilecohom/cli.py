@@ -3,7 +3,8 @@
 Subcommands: atlas, omega, cohomology, render, compare.  Exit codes:
 0 on success, 1 when any verdict fails, 2 on parse/validation errors, on
 growth that does not close within --max-level, on a cell with a nontrivial
-isotropy group and on a direct limit that does not stabilize.
+isotropy group, on a direct limit that does not stabilize and on an output
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -72,9 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write_atomic(path: str, content: str):
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(content)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(content)
+        os.replace(tmp, path)
+    except OSError:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _write_files(out_dir: str, documents: dict):
@@ -146,6 +152,8 @@ def main(argv=None) -> int:
                         format="%(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "cohomology" and args.svg and not args.out:
+        parser.error("--svg requires --out")
     try:
         if args.command == "atlas":
             return _atlas_command(args, with_omega=False)
@@ -161,6 +169,9 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError, RuleViolation, MissingTable, NotClosed,
             IsotropyViolation, NotStabilizing) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write output: {exc}\n")
         return 2
     return 2
 

@@ -73,8 +73,7 @@ class Run:
     """The result of every stage of one run; stages a route skips stay None.
 
     The collared tiles are not kept: their class count and level are in
-    ``complex.labels``, and their patches are the largest objects a run
-    makes.
+    ``complex.labels``.
     """
 
     config: RunConfig

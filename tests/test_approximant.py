@@ -11,11 +11,14 @@ from tilecohom import abelian as ab
 from tilecohom.abelian import FgAbGroup
 from tilecohom.approximant import (
     ApproximantComplex,
+    _collared_key,
+    collar,
     hull_cohomology,
     quotient_cohomology,
     quotient_complex,
     rotation_action,
 )
+from tilecohom.tiling import prototile_patch
 
 
 class TestSquareTorus:
@@ -137,6 +140,40 @@ class TestPenroseHull:
         q = quotient_complex(cx)
         # the orbit complex has one tenth of the free-orbit cells
         assert q.cell_counts[2] == cx.cell_counts[2] // 10
+
+
+@pytest.mark.parametrize("system_fixture", ["penrose_system", "square_system"])
+def test_children_table_matches_child_patch(system_fixture, request):
+    """Each class's children equal those read one level deeper, where the
+    table used to come from: the first occurrence in the closing patch
+    whose children are all trusted in a patch substituted once more."""
+    system = request.getfixturevalue(system_fixture)
+    collared = collar(system)
+    class_index = {k: i for i, k in enumerate(collared.class_keys)}
+    before = prototile_patch(system, 0).substitute(collared.level - 1)
+    closing = before.substitute(1)
+    child_patch = closing.substitute(1)
+
+    # every tile trusted before the closing level has trusted children
+    for cf, f in enumerate(closing.parents):
+        if before.cells.tile_complete(f):
+            assert closing.cells.tile_complete(cf)
+
+    children_of = {}
+    for cf, f in enumerate(child_patch.parents):
+        children_of.setdefault(f, []).append(cf)
+    expected = {}
+    for f in range(len(closing)):
+        if len(expected) == collared.count:
+            break
+        if not closing.cells.tile_complete(f):
+            continue
+        ci = class_index[_collared_key(closing, f)]
+        if ci not in expected and all(
+                child_patch.cells.tile_complete(cf) for cf in children_of[f]):
+            expected[ci] = tuple(class_index[_collared_key(child_patch, cf)]
+                                 for cf in children_of[f])
+    assert collared.children == [expected[ci] for ci in range(collared.count)]
 
 
 def _signed_permutation(rng, n):

@@ -267,6 +267,24 @@ class TestCli:
         assert any(n.startswith("vertex_star_") for n in names)
         capsys.readouterr()
 
+    def test_cohomology_svg_without_out_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cohomology", system_path("square"), "--svg"])
+        assert exc.value.code == 2
+        assert "--svg requires --out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag,target", [
+        ("cohomology", "--json", "missing/r.json"),
+        ("atlas", "--json", "taken"),
+        ("render", "--out", "file.txt"),
+    ], ids=["json-into-missing-dir", "json-onto-directory", "render-onto-file"])
+    def test_unwritable_output_exit_code(self, command, flag, target, tmp_path, capsys):
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "file.txt").write_text("")
+        assert main([command, system_path("square"), flag, str(tmp_path / target)]) == 2
+        assert "error: cannot write output" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_render_command(self, tmp_path, capsys):
         code = main(["render", system_path("square"), "--out", str(tmp_path / "svg")])
         assert code == 0
