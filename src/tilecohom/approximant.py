@@ -136,14 +136,14 @@ def _trusted_classes(patch: Patch) -> dict:
 def _identification_data(patch: Patch, tile_class: dict):
     """Observed gluing data between collared classes, in slot terms.
 
-    Edge identifications carry the pair of (class, edge slot) entries that
-    overlay the same geometric edge (their frame traversals oppose).
-    Vertex identifications pair (class, vertex slot) entries meeting at a
-    common vertex.
+    Edge identifications are the pairs of (class, edge slot) entries that
+    overlay the same geometric edge (their frame traversals oppose), and
+    vertex incidences the sets of (class, vertex slot) entries meeting at
+    a common complete vertex; both come as frozensets of entries.
     """
     cells = patch.cells
     edge_pairs = set()
-    vertex_pairs = set()
+    vertex_sets = set()
     for e in range(cells.n_edges):
         faces = cells.edge_faces[e]
         if len(faces) != 2:
@@ -151,26 +151,20 @@ def _identification_data(patch: Patch, tile_class: dict):
         (f1, _), (f2, _) = faces
         if f1 not in tile_class or f2 not in tile_class:
             continue
-        s1 = _edge_slot(cells, f1, e)
-        s2 = _edge_slot(cells, f2, e)
-        a = (tile_class[f1], s1)
-        b = (tile_class[f2], s2)
-        edge_pairs.add((min(a, b), max(a, b)))
+        edge_pairs.add(frozenset((
+            (tile_class[f1], _edge_slot(cells, f1, e)),
+            (tile_class[f2], _edge_slot(cells, f2, e)),
+        )))
     for v in range(cells.n_vertices):
         if not cells.vertex_complete(v):
             continue
-        incident = sorted(set(cells.vertex_faces[v]))
+        incident = set(cells.vertex_faces[v])
         if any(f not in tile_class for f in incident):
             continue
-        entries = []
-        for f in incident:
-            slot = cells.face_loops[f].index(v)
-            entries.append((tile_class[f], slot))
-        base = min(entries)
-        for other in entries:
-            if other != base:
-                vertex_pairs.add((base, other))
-    return edge_pairs, vertex_pairs
+        vertex_sets.add(frozenset(
+            (tile_class[f], cells.face_loops[f].index(v)) for f in incident
+        ))
+    return edge_pairs, vertex_sets
 
 
 def _edge_slot(cells, f: int, e: int) -> int:
@@ -195,59 +189,115 @@ def _rotate_class_key(system: TilingSystem, key: tuple, step: int) -> tuple:
 
 
 def collar(system: TilingSystem, max_level: int = 14) -> CollaredTiles:
-    """Enumerate collared tiles up to translation, stable over two levels.
+    """Enumerate collared tiles up to translation, closed under rotation.
 
-    The observed class set must also be closed under the rotation group
-    (an eventually-true property of primitive rules with a rotation
-    group); growth continues until it is.
+    The hull is invariant under the rotation group, so every rotation of
+    an observed collared tile, edge gluing or vertex incidence occurs in
+    it too.  At each level the observed classes, edge pairs and vertex
+    incidence sets are saturated under the group, and growth stops when
+    this saturated signature repeats over two levels.  Keys are numbered
+    in order of first sight, and each key's rotation by one group step is
+    computed once, for all levels.
 
-    Each class's children are read at its first occurrence in the level
-    before the closing one.  That tile's corona lies in its patch, and
-    every tile touching one of its children is a child of that corona, so
-    the children are trusted in the closing patch.
+    The children of each rotation orbit of classes are read at the first
+    occurrence, in the level before the closing one, of one class of the
+    orbit.  That tile's corona lies in its patch, and every tile touching
+    one of its children is a child of that corona, so the children are
+    trusted in the closing patch.  The other classes of the orbit take
+    these children rotated with them: `substitute_tile` commutes with
+    rotations and keeps the order of the children.
     """
+    order = system.rotation_order
+    ids: dict = {}  # collared key -> id
+    keys: list = []  # id -> collared key
+    turn: dict = {}  # id -> id of its key rotated by one group step
+
+    def intern(key):
+        if key not in ids:
+            ids[key] = len(keys)
+            keys.append(key)
+        return ids[key]
+
+    def rotate(i):
+        if i not in turn:
+            turn[i] = intern(_rotate_class_key(system, keys[i], system.n // order))
+        return turn[i]
+
+    def rotate_entries(entries):
+        return frozenset((rotate(i), slot) for i, slot in entries)
+
+    def saturated(items, move):
+        """The items and their images under every group element."""
+        out = set()
+        for item in items:
+            for _ in range(order):
+                out.add(item)
+                item = move(item)
+        return frozenset(out)
+
     patch = prototile_patch(system, 0).substitute(1)
-    prev = prev_classes = None
+    prev = prev_ids = None
+    counts = []
     for level in range(1, max_level + 1):
-        tile_class = _trusted_classes(patch)
-        keys = frozenset(tile_class.values())
-        edge_pairs, vertex_pairs = _identification_data(patch, tile_class)
-        signature = (keys, frozenset(edge_pairs), frozenset(vertex_pairs))
-        rotated = {}
-        if system.rotation_order > 1:
-            step = system.n // system.rotation_order
-            rotated = {key: _rotate_class_key(system, key, step) for key in keys}
-        rotation_closed = all(v in keys for v in rotated.values())
-        if prev is not None and signature == prev and keys and rotation_closed:
-            class_keys = sorted(keys)
-            class_index = {k: i for i, k in enumerate(class_keys)}
-            one_step = [class_index[rotated[k]] for k in class_keys] if rotated else None
-            first = {}
-            for f, key in prev_classes.items():
-                first.setdefault(key, f)
-            children = {f: [] for f in first.values()}
-            for cf, f in enumerate(patch.parents):
-                if f in children:
-                    children[f].append(class_index[tile_class[cf]])
+        tile_id = {f: intern(key) for f, key in _trusted_classes(patch).items()}
+        edge_pairs, vertex_sets = _identification_data(patch, tile_id)
+        signature = (
+            saturated(set(tile_id.values()), rotate),
+            saturated(edge_pairs, rotate_entries),
+            saturated(vertex_sets, rotate_entries),
+        )
+        if signature == prev and signature[0]:
+            by_key = sorted(signature[0], key=keys.__getitem__)
+            class_index = {i: c for c, i in enumerate(by_key)}
+            one_step = [class_index[rotate(i)] for i in by_key]
             return CollaredTiles(
                 system=system,
                 level=level,
-                class_keys=class_keys,
-                class_rotation=one_step,
-                children=[tuple(children[first[k]]) for k in class_keys],
-                edge_idents=_indexed(edge_pairs, class_index),
-                vertex_idents=_indexed(vertex_pairs, class_index),
+                class_keys=[keys[i] for i in by_key],
+                class_rotation=one_step if order > 1 else None,
+                children=_children_table(patch, tile_id, prev_ids, class_index, one_step),
+                edge_idents=_star_pairs(signature[1], class_index),
+                vertex_idents=_star_pairs(signature[2], class_index),
             )
-        prev, prev_classes = signature, tile_class
+        prev, prev_ids = signature, tile_id
+        counts.append(f"level {level}: {len(signature[0])} classes, "
+                      f"{len(signature[1])} edge pairs, {len(signature[2])} vertex sets")
         if level < max_level:
             patch = patch.substitute(1)
-    raise NotClosed(f"collared classes still changing at level {max_level}")
+    raise NotClosed(f"collared classes still changing at level {max_level} "
+                    f"(saturated counts {'; '.join(counts[-2:])})")
 
 
-def _indexed(pairs: set, class_index: dict) -> list:
-    return sorted(
-        ((class_index[ka], sa), (class_index[kb], sb)) for (ka, sa), (kb, sb) in pairs
-    )
+def _children_table(patch: Patch, tile_id: dict, prev_ids: dict,
+                    class_index: dict, one_step: list[int]) -> list[tuple[int, ...]]:
+    """Classes of each class's children, read in `patch` below the first
+    occurrence of each class in the patch before it, and carried round
+    each rotation orbit by ``one_step``."""
+    first = {}
+    for f, i in prev_ids.items():
+        first.setdefault(i, f)
+    kids_of = {f: [] for f in first.values()}
+    for cf, f in enumerate(patch.parents):
+        if f in kids_of:
+            kids_of[f].append(class_index[tile_id[cf]])
+    children = [None] * len(class_index)
+    for i, f in first.items():
+        c, kids = class_index[i], tuple(kids_of[f])
+        while children[c] is None:
+            children[c] = kids
+            c, kids = one_step[c], tuple(one_step[k] for k in kids)
+    return children
+
+
+def _star_pairs(entry_sets, class_index: dict) -> list:
+    """Sorted pairs of the least (class, slot) entry of each set with each
+    other entry, in class-index terms: the order `build_ap_complex` unions
+    them in."""
+    pairs = set()
+    for entries in entry_sets:
+        base, *others = sorted((class_index[i], slot) for i, slot in entries)
+        pairs.update((base, other) for other in others)
+    return sorted(pairs)
 
 
 # ---------------------------------------------------------------------------

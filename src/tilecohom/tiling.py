@@ -286,20 +286,27 @@ class CellStructure:
     def edge_complete(self, e: int) -> bool:
         return len(self.edge_faces[e]) == 2
 
+    @cached_property
+    def _vertex_flags(self) -> list[bool]:
+        """Per vertex: it has edges and every one of them is complete."""
+        return [
+            bool(edges) and all(self.edge_complete(e) for e in edges)
+            for edges in self.vertex_edges
+        ]
+
     def vertex_complete(self, v: int) -> bool:
-        return bool(self.vertex_edges[v]) and all(
-            self.edge_complete(e) for e in self.vertex_edges[v]
-        )
+        return self._vertex_flags[v]
 
     def complete_vertices(self):
-        return [v for v in range(self.n_vertices) if self.vertex_complete(v)]
+        return [v for v, complete in enumerate(self._vertex_flags) if complete]
 
     def complete_edges(self):
         return [e for e in range(self.n_edges) if self.edge_complete(e)]
 
     def tile_complete(self, f: int) -> bool:
         """All vertices of the face are complete: the corona of f is in the patch."""
-        return all(self.vertex_complete(v) for v in self.face_loops[f])
+        flags = self._vertex_flags
+        return all(flags[v] for v in self.face_loops[f])
 
     def corona(self, f: int) -> list[int]:
         """Faces sharing at least one vertex with face f (f excluded)."""

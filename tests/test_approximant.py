@@ -12,6 +12,8 @@ from tilecohom.abelian import FgAbGroup
 from tilecohom.approximant import (
     ApproximantComplex,
     _collared_key,
+    _identification_data,
+    _trusted_classes,
     collar,
     hull_cohomology,
     quotient_cohomology,
@@ -174,6 +176,35 @@ def test_children_table_matches_child_patch(system_fixture, request):
             expected[ci] = tuple(class_index[_collared_key(child_patch, cf)]
                                  for cf in children_of[f])
     assert collared.children == [expected[ci] for ci in range(collared.count)]
+
+
+@pytest.mark.parametrize("system_fixture", ["penrose_system", "square_system"])
+def test_closing_data_observed_one_level_deeper(system_fixture, request):
+    """The rotation-saturated classes and gluing data equal the plain
+    translation classes and gluing observed one level past the closing
+    one, and the children table commutes with the class rotation."""
+    system = request.getfixturevalue(system_fixture)
+    collared = collar(system)
+    deeper = prototile_patch(system, 0).substitute(collared.level + 1)
+    tile_class = _trusted_classes(deeper)
+    assert collared.class_keys == sorted(set(tile_class.values()))
+
+    edge_pairs, vertex_sets = _identification_data(deeper, tile_class)
+    class_index = {k: i for i, k in enumerate(collared.class_keys)}
+    indexed = [sorted((class_index[k], s) for k, s in entries) for entries in vertex_sets]
+    assert collared.edge_idents == sorted(
+        tuple(sorted((class_index[k], s) for k, s in pair)) for pair in edge_pairs)
+    assert collared.vertex_idents == sorted(
+        {(entries[0], other) for entries in indexed for other in entries[1:]})
+
+    r = collared.class_rotation or list(range(collared.count))
+    assert sorted(r) == list(range(collared.count))
+    power = list(range(collared.count))
+    for _ in range(system.rotation_order):
+        power = [r[i] for i in power]
+    assert power == list(range(collared.count))
+    for i, kids in enumerate(collared.children):
+        assert collared.children[r[i]] == tuple(r[c] for c in kids)
 
 
 def _signed_permutation(rng, n):

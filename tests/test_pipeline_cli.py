@@ -26,7 +26,9 @@ from tilecohom.pipeline import (
 )
 from tilecohom.winding import atlas_boundary, degree_zero_homology
 
-# sha256 of the report bytes as of commit ecad0f9, and the session runs that hold them
+# sha256 of the report bytes as of commit ecad0f9, and the session runs that hold
+# them; Penrose both differs from ecad0f9 only in collar_level (9 -> 7), since
+# the collar closes under the rotation group
 PINNED_REPORTS = {
     ("square", "both"):
         ("9588b5f91b29c449faebbba0b8a3f23dbe18619663d7156804dbf965336ac8ae", "square_run"),
@@ -39,7 +41,7 @@ PINNED_REPORTS = {
     ("fibonacci", "mapping-torus"):
         ("a855ec7531886572c73303f58552fc3e2165c9992b4c3f0cd7e973676376b367", "fibonacci_run"),
     ("penrose", "both"):
-        ("b2c2a1e38ba2b29788802a3948faaf6d37e24b6a8ace91feb17690437bce258b", "penrose_run"),
+        ("70ae9e607e0135b7570194f324aa4f6f04509d493a17c0eb70e053aa6df8d272", "penrose_run"),
     ("penrose", "spectral"):
         ("db7e1db6bfa3fdda85b11353b0ff9a54668844127c1c472428c82d3c160b93c8", None),
 }
@@ -344,12 +346,18 @@ class TestCli:
 
     @pytest.mark.parametrize("argv,message", [
         (["atlas", system_path("penrose"), "--max-level", "3"], "star classes"),
-        # the atlas closes at level 6, the collar not before level 9
+        # the atlas closes at level 6, the collar not before level 7
         (["cohomology", system_path("penrose"), "--max-level", "6"], "collared classes"),
     ])
     def test_growth_not_closing_exit_code(self, argv, message, capsys):
         assert main(argv) == 2
-        assert f"{message} still changing" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{message} still changing" in err
+        if message == "collared classes":
+            # the saturated edge pairs and vertex sets still grow at level 6
+            assert ("(saturated counts level 5: 220 classes, 350 edge pairs, "
+                    "112 vertex sets; level 6: 220 classes, 400 edge pairs, "
+                    "194 vertex sets)") in err
 
     @pytest.mark.parametrize("change,argv,message", [
         ({"rotation_order": 2}, ["atlas"], "edge class 0 has 2 self-motions"),

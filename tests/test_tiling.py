@@ -187,6 +187,16 @@ class TestCellStructure:
             cycle = cells.vertex_link_cycle(v)
             assert sorted(cycle) == sorted(cells.vertex_edges[v])
 
+    def test_completeness_flags_match_definitions(self, penrose_system):
+        cells = prototile_patch(penrose_system, 0).substitute(6).cells
+        for v, edges in enumerate(cells.vertex_edges):
+            assert cells.vertex_complete(v) == all(
+                len(cells.edge_faces[e]) == 2 for e in edges)
+        tiles = [cells.tile_complete(f) for f in range(cells.n_faces)]
+        assert tiles == [all(cells.vertex_complete(v) for v in loop)
+                         for loop in cells.face_loops]
+        assert any(tiles) and not all(tiles)
+
 
 class TestCanonicalKeys:
     def test_translation_invariance(self, penrose_system):
