@@ -10,6 +10,8 @@ Large matrices that are mostly zero (chain maps, boundaries and the
 Smith transforms U and V) are applied as sparse columns: one
 ``{row: entry}`` dict of nonzeros per column, multiplied exactly by
 ``sparse_product``.  Only the small canonical groups are handled densely.
+A large complex is first collapsed along its ±1 incidences (``collapse``),
+so that Smith normal form only sees the small core.
 
 A group is always reported in the canonical form (free rank, torsion
 divisor chain); two groups are equal iff these data agree.  Generator
@@ -34,6 +36,10 @@ class NotEndomorphism(Exception):
 
 class NotStabilizing(Exception):
     """Direct limit did not stabilize within the allowed number of stages."""
+
+
+class NotChainMap(Exception):
+    """A map of a complex does not commute with its differential."""
 
 
 # ---------------------------------------------------------------------------
@@ -82,16 +88,21 @@ def mat_eq(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
-def is_zero(a: np.ndarray) -> bool:
-    return all(x == 0 for x in a.flat)
-
-
 def sparse_columns(mat: np.ndarray) -> list[dict]:
     """The columns of an integer matrix as ``{row: entry}`` dicts of nonzeros."""
     cols = [{} for _ in range(mat.shape[1])]
     for i, j in zip(*np.nonzero(mat)):
         cols[j][int(i)] = mat[i, j]
     return cols
+
+
+def dense(cols: list[dict], rows: int) -> np.ndarray:
+    """The integer matrix with the given sparse columns and number of rows."""
+    out = zeros(rows, len(cols))
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            out[i, j] = x
+    return out
 
 
 def sparse_product(a: list[dict], b: list[dict]) -> list[dict]:
@@ -469,12 +480,6 @@ def group_of_presentation(pres: Presentation) -> FgAbGroup:
     return canonicalize(pres).group
 
 
-def cokernel(a) -> FgAbGroup:
-    """Z^m / column span of A, in canonical form."""
-    a = as_intmat(a)
-    return group_of_presentation(Presentation(a.shape[0], a))
-
-
 # ---------------------------------------------------------------------------
 # homomorphisms between canonical groups
 # ---------------------------------------------------------------------------
@@ -615,6 +620,152 @@ def homology_at(d_in, d_out) -> FgAbGroup:
     Empty matrices denote zero maps; two empty maps on Z^n give Z^n.
     """
     return Subquotient.of_pair(d_in, d_out).group
+
+
+# ---------------------------------------------------------------------------
+# collapse of a complex along its unit incidences
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ChainCollapse:
+    """A complex reduced along its ±1 incidences, and the chain maps that
+    relate it to the full complex.
+
+    ``differential[k]`` maps degree k to degree k + 1 of the core, as sparse
+    columns.  The inclusion ι (one column per core cell, in full cells) and
+    the projection π (one column per full cell, in core cells) are chain
+    maps with π·ι = id and ι·π homotopic to the identity, so both induce
+    inverse isomorphisms of (co)homology.  Core cells keep the order of the
+    full cells they come from.
+    """
+
+    sizes: list[int]
+    differential: list[list[dict]]
+    inclusion: list[list[dict]]
+    projection: list[list[dict]]
+    full_differential: list[list[dict]] = field(repr=False)
+
+    def pair(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The core differentials into and out of degree k, as matrices."""
+        sizes = self.sizes
+        d_in = dense(self.differential[k - 1], sizes[k]) if k else zeros(sizes[0], 0)
+        d_out = (dense(self.differential[k], sizes[k + 1]) if k + 1 < len(sizes)
+                 else zeros(0, sizes[k]))
+        return d_in, d_out
+
+    def carry(self, chain_map: list[list[dict]]) -> list[list[dict]]:
+        """π·f·ι in every degree, for a chain map f of the full complex.
+
+        Raises ``NotChainMap`` unless f commutes with the full differential.
+        """
+        d = self.full_differential
+        for k, dk in enumerate(d):
+            if sparse_product(dk, chain_map[k]) != sparse_product(chain_map[k + 1], dk):
+                raise NotChainMap(f"map does not commute with the differential out of degree {k}")
+        return [
+            sparse_product(self.projection[k], sparse_product(f, self.inclusion[k]))
+            for k, f in enumerate(chain_map)
+        ]
+
+
+def _subtract(target: dict, q: int, source: dict):
+    """target -= q * source on sparse vectors, dropping zeros."""
+    for i, x in source.items():
+        y = target.get(i, 0) - q * x
+        if y:
+            target[i] = y
+        else:
+            target.pop(i, None)
+
+
+def collapse(differential: list[list[dict]], sizes: list[int]) -> ChainCollapse:
+    """Eliminate pairs of cells joined by a ±1 incidence until none is left.
+
+    ``differential[k]`` maps the ``sizes[k]`` cells of degree k to degree
+    k + 1, as sparse columns; ∂∂ = 0 is checked (``CompositionNotZero``).
+    Each step takes the sparsest column b holding a unit, ties by degree
+    and then index, and in it the unit row a lying in fewest columns, ties
+    by index.  With u = d[a, b], every other column x meeting row a loses
+    u·d[a, x] times column b; then row a and column b go, with row b of
+    the differential below and column a of the one above (Kaczynski,
+    Mischaikow and Mrozek, *Computational Homology*, 2004).  The same step
+    carries ι (ι[x] -= u·d[a, x]·ι[b]) and π (row y of π loses
+    u·d[y, b] times row a).  A complex without a unit incidence is its own
+    core.
+    """
+    from heapq import heapify, heappop, heappush
+
+    for k in range(len(differential) - 1):
+        if any(sparse_product(differential[k + 1], differential[k])):
+            raise CompositionNotZero(f"differential squared nonzero out of degree {k}")
+    cols = [[dict(c) for c in d] for d in differential]
+    rows = [[set() for _ in range(sizes[k + 1])] for k in range(len(differential))]
+    for k, d in enumerate(cols):
+        for j, col in enumerate(d):
+            for i in col:
+                rows[k][i].add(j)
+    inclusion = [[{j: 1} for j in range(n)] for n in sizes]
+    proj_rows = [[{j: 1} for j in range(n)] for n in sizes]
+    alive = [[True] * n for n in sizes]
+
+    heap = [(len(col), k, j) for k, d in enumerate(cols) for j, col in enumerate(d) if col]
+    heapify(heap)
+    while heap:
+        n, k, b = heappop(heap)
+        col_b = cols[k][b]
+        if not alive[k][b] or len(col_b) != n:
+            continue
+        units = [a for a, x in col_b.items() if x == 1 or x == -1]
+        if not units:
+            continue
+        a = min(units, key=lambda i: (len(rows[k][i]), i))
+        u = col_b[a]  # a unit is its own inverse
+        for x in sorted(rows[k][a] - {b}):
+            col_x = cols[k][x]
+            q = u * col_x[a]
+            for y, v in col_b.items():
+                w = col_x.get(y, 0) - q * v
+                if w:
+                    col_x[y] = w
+                    rows[k][y].add(x)
+                else:
+                    del col_x[y]
+                    rows[k][y].discard(x)
+            _subtract(inclusion[k][x], q, inclusion[k][b])
+            heappush(heap, (len(col_x), k, x))
+        for y, g in col_b.items():
+            rows[k][y].discard(b)
+            if y != a:
+                _subtract(proj_rows[k + 1][y], u * g, proj_rows[k + 1][a])
+        cols[k][b] = {}
+        alive[k][b] = alive[k + 1][a] = False
+        if k > 0:  # row b of the differential into degree k
+            for z in rows[k - 1][b]:
+                del cols[k - 1][z][b]
+                heappush(heap, (len(cols[k - 1][z]), k - 1, z))
+            rows[k - 1][b] = set()
+        if k + 1 < len(cols):  # column a of the differential out of degree k + 1
+            for r in cols[k + 1][a]:
+                rows[k + 1][r].discard(a)
+            cols[k + 1][a] = {}
+
+    core = [[j for j in range(n) if alive[k][j]] for k, n in enumerate(sizes)]
+    index = [{j: i for i, j in enumerate(cells)} for cells in core]
+    projection = [[{} for _ in range(n)] for n in sizes]
+    for k, cells in enumerate(core):
+        for i, j in enumerate(cells):
+            for c, x in proj_rows[k][j].items():
+                projection[k][c][i] = x
+    return ChainCollapse(
+        sizes=[len(cells) for cells in core],
+        differential=[
+            [{index[k + 1][i]: x for i, x in cols[k][j].items()} for j in core[k]]
+            for k in range(len(cols))
+        ],
+        inclusion=[[inclusion[k][j] for j in cells] for k, cells in enumerate(core)],
+        projection=projection,
+        full_differential=differential,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -604,22 +604,29 @@ class HullDegree:
     subquotient: Subquotient = field(repr=False)
     limit: DirectLimit = field(repr=False)
     self_endo: GroupHom = field(repr=False)
+    # the collapse of the whole cochain complex, shared by every degree
+    collapse: ab.ChainCollapse = field(repr=False)
 
 
-def _cochain_pair(cx: ApproximantComplex, k: int):
-    n_k = cx.cell_counts[k]
-    d_in = cx.boundary[k - 1].T if k >= 1 else ab.zeros(n_k, 0)
-    d_out = cx.boundary[k].T if k < cx.dimension else ab.zeros(0, n_k)
-    return d_in, d_out
+def _cochain_maps(mats: list[np.ndarray]) -> list[list[dict]]:
+    """Cochain matrices (transposes) of chain-level matrices, as sparse columns."""
+    return [ab.sparse_columns(m.T) for m in mats]
 
 
 def hull_cohomology(cx: ApproximantComplex, max_stages: int = 20) -> list[HullDegree]:
-    """Cech cohomology of the translational hull, degree by degree."""
+    """Cech cohomology of the translational hull, degree by degree.
+
+    The cochain complex is collapsed once along its unit incidences
+    (``ab.collapse``, which checks ∂∂ = 0) and the self-map carried to the
+    core (checked to be a chain map); each subquotient, induced
+    endomorphism and direct limit is then taken on the core.
+    """
+    core = ab.collapse(_cochain_maps(cx.boundary), cx.cell_counts)
+    self_map = core.carry(_cochain_maps(cx.self_map))
     out = []
     for k in range(cx.dimension + 1):
-        d_in, d_out = _cochain_pair(cx, k)
-        sq = Subquotient.of_pair(d_in, d_out)
-        endo = sq.induced_endomorphism(cx.self_map[k].T)
+        sq = Subquotient.of_pair(*core.pair(k))
+        endo = sq.induced_endomorphism(ab.dense(self_map[k], core.sizes[k]))
         limit = ab.direct_limit_full(
             DirectSystem(sq.group, endo, max_iterations=max_stages)
         )
@@ -632,6 +639,7 @@ def hull_cohomology(cx: ApproximantComplex, max_stages: int = 20) -> list[HullDe
                 subquotient=sq,
                 limit=limit,
                 self_endo=endo,
+                collapse=core,
             )
         )
     return out
@@ -640,15 +648,18 @@ def hull_cohomology(cx: ApproximantComplex, max_stages: int = 20) -> list[HullDe
 def rotation_action(cx: ApproximantComplex, hull: list[HullDegree]) -> list[GroupHom]:
     """Action of the rotation generator on each limit group.
 
-    Uses the cochain pullback of the rotation matrices, checked to commute
-    with the substitution on cohomology, restricted to the stabilized
-    image subgroup.
+    Uses the cochain pullback of the rotation matrices, carried through the
+    collapse of ``hull`` and checked to commute with the substitution on
+    cohomology, restricted to the stabilized image subgroup.
     """
     if cx.rotation is None:
         return [GroupHom.identity(h.group) for h in hull]
+    core = hull[0].collapse
+    rotation = core.carry(_cochain_maps(cx.rotation))
     out = []
     for h in hull:
-        rot = h.subquotient.induced_endomorphism(cx.rotation[h.degree].T)
+        rot = h.subquotient.induced_endomorphism(
+            ab.dense(rotation[h.degree], core.sizes[h.degree]))
         left = rot.compose(h.self_endo)
         right = h.self_endo.compose(rot)
         if not ab.hom_equal_mod_torsion(left, right):

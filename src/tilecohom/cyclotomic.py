@@ -197,9 +197,6 @@ class RigidMotion:
     def translation(n: int, trans) -> "RigidMotion":
         return RigidMotion(n, 0, trans)
 
-    def apply_coeffs(self, coeffs: tuple[int, ...]) -> tuple[int, ...]:
-        return add_coeffs(rotate_coeffs(self.n, coeffs, self.rot), self.trans)
-
     def compose(self, other: "RigidMotion") -> "RigidMotion":
         """self after other: (self.compose(other))(p) == self(other(p))."""
         if self.n != other.n:
@@ -213,7 +210,3 @@ class RigidMotion:
         inv_rot = (-self.rot) % self.n
         trans = neg_coeffs(rotate_coeffs(self.n, self.trans, inv_rot))
         return RigidMotion(self.n, inv_rot, trans)
-
-    def is_identity(self) -> bool:
-        return self.rot == 0 and not any(self.trans)
-

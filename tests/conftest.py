@@ -10,6 +10,7 @@ import pytest
 import tilecohom
 from tilecohom import abelian as ab
 from tilecohom.atlas import grow_star_closure
+from tilecohom.cyclotomic import RigidMotion, add_coeffs, rotate_coeffs
 from tilecohom.pipeline import RunConfig, run_pipeline
 from tilecohom.tiling import load_system
 from tilecohom.winding import assign_rho, omega_chain
@@ -28,6 +29,20 @@ def expected_values(name: str) -> dict:
 def as_group(pair) -> ab.FgAbGroup:
     rank, torsion = pair
     return ab.FgAbGroup(rank, tuple(torsion))
+
+
+def is_zero(a) -> bool:
+    """Is every entry of an integer matrix zero?"""
+    return all(x == 0 for x in a.flat)
+
+
+def apply_motion(motion: RigidMotion, coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """The image of a point of Z[zeta_N] under a rigid motion."""
+    return add_coeffs(rotate_coeffs(motion.n, coeffs, motion.rot), motion.trans)
+
+
+def is_identity_motion(motion: RigidMotion) -> bool:
+    return motion.rot == 0 and not any(motion.trans)
 
 
 def subprocess_env(**extra) -> dict:

@@ -6,7 +6,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from conftest import is_zero
 from tilecohom import abelian as ab
 
 
@@ -102,7 +105,7 @@ class TestSmithNormalForm:
             a = random_matrix(rng, max_dim=6, max_entry=5)
             k = ab.kernel_basis(a)
             if k.shape[1]:
-                assert ab.is_zero(a.dot(k))
+                assert is_zero(a.dot(k))
             # saturation: Smith form of the kernel basis has unit divisors
             assert all(d == 1 for d in ab.smith_normal_form(k).nonzero_divisors())
 
@@ -204,8 +207,13 @@ class TestFgAbGroup:
         assert s == ab.FgAbGroup(1, (6,))
 
     def test_cokernel(self):
-        assert ab.cokernel(ab.intmat([[5]])) == ab.FgAbGroup(0, (5,))
-        assert ab.cokernel(ab.zeros(2, 0)) == ab.FgAbGroup(2)
+        assert cokernel(ab.intmat([[5]])) == ab.FgAbGroup(0, (5,))
+        assert cokernel(ab.zeros(2, 0)) == ab.FgAbGroup(2)
+
+
+def cokernel(a) -> ab.FgAbGroup:
+    """Z^m / column span of A, in canonical form."""
+    return ab.group_of_presentation(ab.Presentation(a.shape[0], a))
 
 
 def homology_oracle(d_in, d_out):
@@ -258,7 +266,7 @@ class TestHomology:
                 for j in range(left_kernel.shape[0]):
                     mix[i, j] = rng.randint(-2, 2)
             d_out = mix.dot(left_kernel)
-            assert ab.is_zero(d_out.dot(d_in))
+            assert is_zero(d_out.dot(d_in))
             h = ab.homology_at(d_in, d_out)
             free, torsion = homology_oracle(d_in, d_out)
             assert h.free_rank == free
@@ -374,12 +382,16 @@ class TestSubquotientTransport:
 
     def test_induced_endomorphism_matches_dense_route(self, penrose_run):
         # the self-map and rotation cochain maps of every Penrose degree,
-        # carried through the dense product f . kernel
+        # carried to the collapsed core, then through the dense product
+        # f . kernel
         cx = penrose_run.complex
+        core = penrose_run.hull[0].collapse
+        carried = [core.carry([ab.sparse_columns(m.T) for m in chain_map])
+                   for chain_map in (cx.self_map, cx.rotation)]
         for h in penrose_run.hull:
             sq = h.subquotient
-            for chain_map in (cx.self_map, cx.rotation):
-                f = chain_map[h.degree].T
+            for chain_map in carried:
+                f = ab.dense(chain_map[h.degree], core.sizes[h.degree])
                 mapped = sq._coord_solver.solve_matrix(f.dot(sq.kernel))
                 want = sq._canon.project.dot(mapped.dot(sq._canon.lift))
                 for i, d in enumerate(sq.group.gen_orders()):
@@ -393,3 +405,139 @@ def test_characteristic_polynomial():
     m = ab.intmat(ORDER_TEN_DEGREE1_MATRIX)
     # (x - 1)(x^4 - x^3 + x^2 - x + 1)
     assert ab.characteristic_polynomial(m) == [1, -2, 2, -2, 2, -1]
+
+
+# ---------------------------------------------------------------------------
+# collapse along unit incidences
+# ---------------------------------------------------------------------------
+
+def _sparse(mats):
+    return [ab.sparse_columns(m) for m in mats]
+
+
+def _pair(d, sizes, k):
+    """The full differentials into and out of degree k, as Subquotient takes them."""
+    d_in = d[k - 1] if k else ab.zeros(sizes[0], 0)
+    d_out = d[k] if k < len(d) else ab.zeros(0, sizes[k])
+    return d_in, d_out
+
+
+def _identity(n):
+    return [{i: 1} for i in range(n)]
+
+
+def _check_collapse_maps(core, d):
+    """π·ι = id, ∂' = π·∂·ι, ι and π are chain maps, and no unit is left."""
+    for k, n in enumerate(core.sizes):
+        assert ab.sparse_product(core.projection[k], core.inclusion[k]) == _identity(n)
+    for k, dk in enumerate(_sparse(d)):
+        carried = ab.sparse_product(core.projection[k + 1],
+                                    ab.sparse_product(dk, core.inclusion[k]))
+        assert carried == core.differential[k]
+        assert ab.sparse_product(dk, core.inclusion[k]) == ab.sparse_product(
+            core.inclusion[k + 1], core.differential[k])
+        assert ab.sparse_product(core.differential[k], core.projection[k]) == \
+            ab.sparse_product(core.projection[k + 1], dk)
+        assert all(abs(x) != 1 for col in core.differential[k] for x in col.values())
+
+
+def _unimodular(draw, n):
+    """A random unimodular n x n matrix and its inverse, from elementary row operations."""
+    p, p_inv = ab.eye(n), ab.eye(n)
+    ops = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)),
+                                  st.integers(-2, 2)), max_size=2 * n))
+    for i, j, q in ops:
+        if i == j:
+            p[i], p_inv[:, i] = -p[i], -p_inv[:, i]
+        else:  # row_i += q row_j, so the inverse has col_j -= q col_i
+            p[i] = p[i] + q * p[j]
+            p_inv[:, j] = p_inv[:, j] - q * p_inv[:, i]
+    return p, p_inv
+
+
+@st.composite
+def complexes_with_self_map(draw):
+    """Differentials d[0], d[1] on three degrees and a chain self-map f.
+
+    Built as a sum of free cells and pieces b -> m a (m = ±1 contractible,
+    |m| >= 2 torsion), with f an integer matrix on the free cells, a scalar
+    on each piece and a cycle added to each b, plus a null-homotopic term
+    d h + h d; then every degree is changed by a random unimodular basis.
+    """
+    free = [draw(st.integers(0, 2)) for _ in range(3)]
+    pieces = draw(st.lists(st.tuples(st.integers(0, 1), st.sampled_from([1, -1, 2, -2, 3]),
+                                     st.integers(-2, 2)), max_size=4))
+    cells = [[("h", i) for i in range(n)] for n in free]
+    for p, (k, _, _) in enumerate(pieces):
+        cells[k].append(("b", p))
+        cells[k + 1].append(("a", p))
+    sizes = [len(c) for c in cells]
+    at = [{c: i for i, c in enumerate(cs)} for cs in cells]
+    d = [ab.zeros(sizes[k + 1], sizes[k]) for k in range(2)]
+    f = [ab.zeros(n, n) for n in sizes]
+    for k in range(3):
+        for i in range(free[k]):
+            for j in range(free[k]):
+                f[k][i, j] = draw(st.integers(-2, 2))
+    for p, (k, m, c) in enumerate(pieces):
+        b, a = at[k]["b", p], at[k + 1]["a", p]
+        d[k][a, b] = m
+        f[k][b, b] = f[k + 1][a, a] = c
+        for cell, i in at[k].items():  # a cycle added to the image of b
+            if cell[0] != "b":
+                f[k][i, b] += draw(st.integers(-1, 1))
+    h = [ab.intmat([[draw(st.integers(-1, 1)) for _ in range(sizes[k + 1])]
+                    for _ in range(sizes[k])]) if sizes[k] else ab.zeros(0, sizes[k + 1])
+         for k in range(2)]
+    for k in range(3):
+        if k:
+            f[k] = f[k] + d[k - 1].dot(h[k - 1])
+        if k < 2:
+            f[k] = f[k] + h[k].dot(d[k])
+    basis = [_unimodular(draw, n) for n in sizes]
+    d = [basis[k + 1][0].dot(d[k]).dot(basis[k][1]) for k in range(2)]
+    f = [p.dot(fk).dot(p_inv) for fk, (p, p_inv) in zip(f, basis)]
+    return sizes, d, f
+
+
+class TestCollapse:
+    @seed(20261018)
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(complexes_with_self_map())
+    def test_core_keeps_homology_and_induced_action(self, data):
+        sizes, d, f = data
+        core = ab.collapse(_sparse(d), sizes)
+        _check_collapse_maps(core, d)
+        carried = core.carry(_sparse(f))
+        for k in range(3):
+            full = ab.Subquotient.of_pair(*_pair(d, sizes, k))
+            sq = ab.Subquotient.of_pair(*core.pair(k))
+            assert sq.group == full.group
+            endo = sq.induced_endomorphism(ab.dense(carried[k], core.sizes[k]))
+            full_endo = full.induced_endomorphism(f[k])
+            assert ab.invariants_of(endo) == ab.invariants_of(full_endo)
+            assert ab.coinvariants_of(endo) == ab.coinvariants_of(full_endo)
+
+    def test_projective_plane_keeps_its_torsion(self):
+        # RP^2 as a square with boundary word abab: vertices P, Q, edges
+        # a: P -> Q and b: Q -> P, one face with boundary 2a + 2b.  Cochain
+        # differentials: δP = -a + b, δQ = a - b, δa = δb = 2f.
+        d = [ab.intmat([[-1, 1], [1, -1]]), ab.intmat([[2, 2]])]
+        core = ab.collapse(_sparse(d), [2, 2, 1])
+        assert core.sizes == [1, 1, 1]
+        assert core.differential == [[{}], [{0: 2}]]
+        _check_collapse_maps(core, d)
+        groups = [ab.Subquotient.of_pair(*core.pair(k)).group for k in range(3)]
+        assert groups == [ab.FgAbGroup(1), ab.FgAbGroup(0), ab.FgAbGroup(0, (2,))]
+        assert groups == [ab.homology_at(*_pair(d, [2, 2, 1], k)) for k in range(3)]
+
+    def test_no_unit_incidence_is_its_own_core(self):
+        # the one-cell-per-degree RP^2: δ^0 = 0, δ^1 = 2
+        d = [[{}], [{0: 2}]]
+        core = ab.collapse(d, [1, 1, 1])
+        assert core.sizes == [1, 1, 1]
+        assert core.differential == d
+        assert core.inclusion == core.projection == [_identity(1)] * 3
+        assert core.carry([[{0: 1}], [{0: 3}], [{0: 3}]]) == [[{0: 1}], [{0: 3}], [{0: 3}]]
+        with pytest.raises(ab.NotChainMap):
+            core.carry([[{0: 1}], [{0: 3}], [{0: 1}]])

@@ -301,6 +301,64 @@ def test_validate_rejects_each_broken_identity(corrupt, message, penrose_run, sq
         cx.validate()
 
 
+@pytest.mark.parametrize("corrupt,error", [
+    (_break_boundary, ab.CompositionNotZero),
+    (_break_self_map, ab.NotChainMap),
+], ids=["boundary", "self-map"])
+def test_hull_cohomology_rejects_broken_complex(corrupt, error, penrose_run):
+    cx = copy.deepcopy(penrose_run.complex)
+    corrupt(cx)
+    with pytest.raises(error):
+        hull_cohomology(cx)
+
+
+def test_rotation_action_rejects_broken_rotation(penrose_run):
+    cx = copy.deepcopy(penrose_run.complex)
+    _break_rotation(cx)
+    hull = hull_cohomology(cx)
+    with pytest.raises(ab.NotChainMap):
+        rotation_action(cx, hull)
+
+
+class TestPenroseCollapse:
+    """The cochain complex collapsed along its unit incidences, against the
+    Smith normal form route on the full 54 / 270 / 220-cell complex."""
+
+    def test_core_is_one_five_eight_and_shared(self, penrose_run):
+        core = penrose_run.hull[0].collapse
+        assert [len(p) for p in core.projection] == penrose_run.complex.cell_counts
+        assert core.sizes == [1, 5, 8]
+        assert all(h.collapse is core for h in penrose_run.hull)
+
+    def test_projection_inverts_inclusion_and_carries_differential(self, penrose_run):
+        core = penrose_run.hull[0].collapse
+        for k, n in enumerate(core.sizes):
+            assert ab.sparse_product(core.projection[k], core.inclusion[k]) == \
+                [{i: 1} for i in range(n)]
+        for k, d in enumerate(penrose_run.complex.boundary):
+            carried = ab.sparse_product(
+                core.projection[k + 1],
+                ab.sparse_product(ab.sparse_columns(d.T), core.inclusion[k]))
+            assert carried == core.differential[k]
+
+    def test_matches_full_complex(self, penrose_run):
+        cx = penrose_run.complex
+        for h, rot in zip(penrose_run.hull, penrose_run.rotation):
+            k = h.degree
+            d_in = cx.boundary[k - 1].T if k else ab.zeros(cx.cell_counts[0], 0)
+            d_out = cx.boundary[k].T if k < cx.dimension else ab.zeros(0, cx.cell_counts[k])
+            full = ab.Subquotient.of_pair(d_in, d_out)
+            endo = full.induced_endomorphism(cx.self_map[k].T)
+            limit = ab.direct_limit_full(ab.DirectSystem(full.group, endo))
+            assert (full.group, limit.group, limit.stage) == \
+                (h.approximant_group, h.group, h.stage)
+            assert ab.characteristic_polynomial(endo.matrix) == \
+                ab.characteristic_polynomial(h.self_endo.matrix)
+            full_rot = limit.restrict(full.induced_endomorphism(cx.rotation[k].T))
+            assert ab.characteristic_polynomial(full_rot.matrix) == \
+                ab.characteristic_polynomial(rot.matrix)
+
+
 def test_signed_union_find_detects_reversed_self_identification():
     from tilecohom.approximant import InconsistentIdentification, _SignedUnionFind
 

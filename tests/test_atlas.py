@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import expected_values, system_path
+from conftest import apply_motion, expected_values, system_path
 from tilecohom.atlas import (
     IsotropyViolation,
     NotClosed,
@@ -151,7 +151,7 @@ class TestRigidKeyMemo:
 
         vertex_index = atlas_vertex_lookup(penrose_atlas)
         for v in cells.complete_vertices():
-            mv = moved_cells.vertex_id[motion.apply_coeffs(cells.vertex_pos[v])]
+            mv = moved_cells.vertex_id[apply_motion(motion, cells.vertex_pos[v])]
             star, center = _vertex_star(patch, v)
             moved_star, moved_center = _vertex_star(moved, mv)
             assert vertex_index[canonical_key(moved_star, "rigid", center=moved_center)] == \
@@ -161,12 +161,12 @@ class TestRigidKeyMemo:
         for e in cells.complete_edges():
             idx, tail, head = edge_occurrence(patch, e, edge_index)
             ends = sorted(
-                moved_cells.vertex_id[motion.apply_coeffs(cells.vertex_pos[p])]
+                moved_cells.vertex_id[apply_motion(motion, cells.vertex_pos[p])]
                 for p in cells.edge_ends[e]
             )
             me = moved_cells.edge_id[tuple(ends)]
             assert edge_occurrence(moved, me, edge_index) == (
-                idx, motion.apply_coeffs(tail), motion.apply_coeffs(head)
+                idx, apply_motion(motion, tail), apply_motion(motion, head)
             )
 
 

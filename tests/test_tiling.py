@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import system_path
+from conftest import is_identity_motion, system_path
 from tilecohom import cyclotomic as cyc
 from tilecohom.cyclotomic import RigidMotion
 from tilecohom.tiling import (
@@ -213,7 +213,7 @@ class TestCanonicalKeys:
     def test_matching_motions_identity_only(self, penrose_system):
         patch = prototile_patch(penrose_system, 0).substitute(2)
         motions = matching_motions(patch, patch)
-        assert len(motions) == 1 and motions[0].is_identity()
+        assert len(motions) == 1 and is_identity_motion(motions[0])
 
     def test_matching_motions_translate(self, penrose_system):
         patch = prototile_patch(penrose_system, 0).substitute(2)

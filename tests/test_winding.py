@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import expected_values
-from tilecohom import abelian as ab
+from conftest import expected_values, is_zero
 from tilecohom.winding import (
     NonIntegralWinding,
     RhoAssignment,
@@ -64,7 +63,7 @@ class TestPenroseValues:
     def test_boundary_composition_zero(self, penrose_atlas):
         d1 = atlas_boundary(penrose_atlas, 1)
         d2 = atlas_boundary(penrose_atlas, 2)
-        assert ab.is_zero(d1.dot(d2))
+        assert is_zero(d1.dot(d2))
 
     def test_dagger_orders(self, penrose_atlas):
         assert sorted(dagger_orders(penrose_atlas)) == [1, 1, 1, 1, 1, 5, 5]
@@ -83,7 +82,7 @@ class TestSquareValues:
     def test_boundary_degree_one_vanishes(self, square_run):
         # each vertex class sees each edge class once in and once out
         d1 = atlas_boundary(square_run.atlas, 1)
-        assert ab.is_zero(d1)
+        assert is_zero(d1)
 
 
 def test_integrality_never_fires_on_fixtures(penrose_atlas, square_run):
