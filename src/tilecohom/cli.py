@@ -30,6 +30,8 @@ from .pipeline import (
 )
 from .tiling import ParseError, RuleViolation, ValidationError
 
+log = logging.getLogger("tilecohom")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -116,12 +118,17 @@ def _atlas_command(args, with_omega: bool) -> int:
 
 
 def _cohomology_command(args) -> int:
+    import time
+
     run = run_pipeline(RunConfig(args.system, route=args.route, max_level=args.max_level,
                                  emit_svg=args.svg))
+    t0 = time.perf_counter()
     text = report_to_json(run.report)
+    serialize_s = time.perf_counter() - t0
     if args.out:
         _write_files(args.out, {"report.json": text, **(run.figures or {})})
     _emit(text, args.json)
+    log.info("report bytes=%d serialize_s=%.3f", len(text.encode()), serialize_s)
     return 0 if run.report["passed"] else 1
 
 
@@ -143,7 +150,7 @@ def _compare_command(args) -> int:
         except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read report {path}: {exc}") from exc
     verdict = compare_routes(reports[0], reports[1])
-    sys.stdout.write(json.dumps(verdict, sort_keys=True, indent=1) + "\n")
+    sys.stdout.write(report_to_json(verdict))
     return 0 if verdict["passed"] else 1
 
 

@@ -5,10 +5,11 @@ once; the CLI, the demos and the test fixtures all read from it, and the
 ``atlas``, ``omega`` and ``render`` subcommands run the same stage
 functions on their own.  Writing files is left to the caller.
 
-Reports are plain dictionaries serialized as canonical JSON (sorted keys,
-fixed indentation) so that a fixed configuration and package version
-produce byte-identical output.  Wall-clock timings therefore go to the
-log, never into the report.
+Reports are plain dictionaries serialized as canonical JSON so that a
+fixed configuration and package version produce byte-identical output;
+wall-clock timings therefore go to the log, never into the report.  The
+canonical form is byte for byte ``json.dumps(report, sort_keys=True,
+indent=1)`` and a newline, which ``report_to_json`` writes directly.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def group_json(g: FgAbGroup) -> dict:
 
 
 def matrix_json(mat) -> list:
-    return [[int(x) for x in row] for row in mat]
+    return mat.tolist()
 
 
 def run_pipeline(cfg: RunConfig) -> Run:
@@ -343,4 +344,41 @@ def _final_groups(report) -> list:
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=1) + "\n"
+    """The canonical text of a report: ``json.dumps(report, sort_keys=True,
+    indent=1) + "\\n"``, byte for byte.
+
+    With ``indent`` set, ``json`` encodes in pure Python one value at a time;
+    here a row of plain ints, such as a matrix row, is joined in one step.
+    Every scalar and key still goes through ``json.dumps``.  A key that is
+    not a str raises ``TypeError``, where ``json`` would coerce it.
+    """
+    out = []
+    _write_json(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, nl: str, out: list):
+    """Append the indented JSON of ``value``; ``nl`` is a newline and its indent."""
+    inner = nl + " "
+    if isinstance(value, dict) and value:
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            out.append(sep + json.dumps(key) + ": ")
+            _write_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) == {int}:
+            out.append("[" + inner + ("," + inner).join(map(str, value)) + nl + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:  # a scalar, or an empty dict or list
+        out.append(json.dumps(value))

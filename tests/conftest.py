@@ -11,7 +11,7 @@ import tilecohom
 from tilecohom import abelian as ab
 from tilecohom.atlas import grow_star_closure
 from tilecohom.cyclotomic import RigidMotion, add_coeffs, rotate_coeffs
-from tilecohom.pipeline import RunConfig, run_pipeline
+from tilecohom.pipeline import RunConfig, report_to_json, run_pipeline
 from tilecohom.tiling import load_system
 from tilecohom.winding import assign_rho, omega_chain
 
@@ -84,9 +84,10 @@ SETUP_SECONDS = {}
 
 @pytest.fixture(scope="session")
 def penrose_run():
-    """Both routes on Penrose, timed for the acceptance gate."""
+    """Both routes on Penrose and the report's text, timed for the acceptance gate."""
     t0 = time.time()
     run = run_pipeline(RunConfig(system_path("penrose"), route="both"))
+    report_to_json(run.report)
     SETUP_SECONDS["penrose_run"] = time.time() - t0
     return run
 

@@ -4,13 +4,17 @@ import copy
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import as_group, expected_values, subprocess_env, system_path
 from tilecohom import abelian as ab
@@ -45,6 +49,11 @@ PINNED_REPORTS = {
     ("penrose", "spectral"):
         ("db7e1db6bfa3fdda85b11353b0ff9a54668844127c1c472428c82d3c160b93c8", None),
 }
+
+
+def json_oracle(value) -> str:
+    """The canonical report text as the standard library writes it."""
+    return json.dumps(value, sort_keys=True, indent=1) + "\n"
 
 
 def square_with_h_omega0(tmp_path, h_omega0) -> str:
@@ -187,7 +196,43 @@ class TestPipeline:
             run = request.getfixturevalue(session_run)
         else:
             run = run_pipeline(RunConfig(system_path(system), route=route))
-        assert hashlib.sha256(report_to_json(run.report).encode()).hexdigest() == sha256
+        text = report_to_json(run.report)
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
+        assert text == json_oracle(run.report)
+
+
+KEYS = st.text() | st.sampled_from(["", "a\"b\\c", "tab\tnew\nline\x00\x1f", "é☃𝔷", "\ud800"])
+SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40)
+           | st.floats() | st.sampled_from([-0.0, 1e300, -1e-300]) | KEYS)
+INT_ROWS = st.lists(st.integers(-10**20, 10**20))
+MIXED_ROWS = st.lists(st.integers() | st.booleans(), min_size=1).map(lambda row: row + [True])
+JSON_VALUES = st.recursive(
+    SCALARS | INT_ROWS | MIXED_ROWS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(KEYS, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+class TestReportWriter:
+    @seed(20261019)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.dictionaries(KEYS, JSON_VALUES, max_size=6))
+    @example({})
+    @example({"empty": [], "none": {}, "row": [3, -1, 0], "bools": [1, True, 0, False]})
+    @example({"m": [[0] * 3, (1, -2, 10**30)], "x": [-0.0, 1e300, None]})
+    def test_matches_json_oracle(self, value):
+        assert report_to_json(value) == json_oracle(value)
+
+    @pytest.mark.parametrize("value", [
+        {1: "int key"},
+        {"outer": {"b": 1, 2: "nested int key"}},
+        {"cells": {1, 2}},
+        {"matrix": [[0, np.int64(1), 2]]},
+    ])
+    def test_rejects_what_json_would_coerce_or_refuse(self, value):
+        with pytest.raises(TypeError):
+            report_to_json(value)
 
 
 class TestSvg:
@@ -245,7 +290,8 @@ class TestCli:
         assert out["omega"][0]["symmetry_order"] == 1
         assert {"left_tile_class", "right_tile_class"} <= set(out["rho"][0])
 
-    def test_cohomology_command_writes_report(self, tmp_path, capsys):
+    def test_cohomology_command_writes_report(self, tmp_path, capsys, caplog):
+        caplog.set_level(logging.INFO, logger="tilecohom")
         out_dir = tmp_path / "out"
         code = main([
             "cohomology", system_path("square"), "--route", "both",
@@ -253,8 +299,12 @@ class TestCli:
         ])
         assert code == 0
         assert (out_dir / "report.json").exists()
-        written = json.loads((tmp_path / "r.json").read_text())
-        assert written["passed"]
+        text = (tmp_path / "r.json").read_text()
+        assert json.loads(text)["passed"]
+        assert (out_dir / "report.json").read_text() == text
+        [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("report ")]
+        assert line.startswith(f"report bytes={len(text.encode())} serialize_s=")
+        assert "serialize_s" not in text
         capsys.readouterr()
 
     def test_cohomology_svg_output(self, tmp_path, capsys):
@@ -299,14 +349,17 @@ class TestCli:
         p1.write_text(report_to_json(square_run.report))
         code = main(["compare", str(p1), str(p1)])
         assert code == 0
-        capsys.readouterr()
+        report = json.loads(p1.read_text())
+        assert capsys.readouterr().out == json_oracle(compare_routes(report, report))
 
     def test_compare_mismatch_exit_code(self, tmp_path, capsys, square_run, fibonacci_run):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         p1.write_text(report_to_json(square_run.report))
         p2.write_text(report_to_json(fibonacci_run.report))
         assert main(["compare", str(p1), str(p2)]) == 1
-        capsys.readouterr()
+        verdict = compare_routes(json.loads(p1.read_text()), json.loads(p2.read_text()))
+        assert not verdict["passed"] and verdict["details"]
+        assert capsys.readouterr().out == json_oracle(verdict)
 
     def test_malformed_system_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
