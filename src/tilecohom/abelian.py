@@ -25,20 +25,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import TilecohomError
 
-class CompositionNotZero(Exception):
+
+class CompositionNotZero(TilecohomError):
     """Boundary-squared is not zero for the given pair of maps."""
 
 
-class NotEndomorphism(Exception):
+class NotEndomorphism(TilecohomError):
     """Operation requires a homomorphism with equal source and target."""
 
 
-class NotStabilizing(Exception):
+class NotStabilizing(TilecohomError):
     """Direct limit did not stabilize within the allowed number of stages."""
 
 
-class NotChainMap(Exception):
+class NotChainMap(TilecohomError):
     """A map of a complex does not commute with its differential."""
 
 

@@ -22,17 +22,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import TilecohomError
 from . import abelian as ab
 from .abelian import DirectLimit, DirectSystem, FgAbGroup, GroupHom, Subquotient
 from .atlas import NotClosed
 from .tiling import Patch, TilingSystem, canonical_key, prototile_patch
 
 
-class InconsistentIdentification(Exception):
+class InconsistentIdentification(TilecohomError):
     """Adjacency data forces an edge cell onto itself with reversed orientation."""
 
 
-class NonCellularAction(Exception):
+class NonCellularAction(TilecohomError):
     """The rotation action cannot be regularized on this complex."""
 
 
@@ -680,13 +681,13 @@ def quotient_complex(cx: ApproximantComplex) -> ApproximantComplex:
     Requires the action to be regular: no cell may be sent to itself with
     reversed orientation by any group element.  Collared complexes built
     from systems with trivial cell isotropy satisfy this automatically.
+    ``hull_cohomology`` checks its ∂∂ = 0 and its self-map.
     """
     if cx.rotation is None:
         return cx
     order = cx.rotation_order
 
-    projections = []
-    new_counts = []
+    orbits = []  # per degree: orbit of each cell, its sign there, representatives
     for k in range(cx.dimension + 1):
         n = cx.cell_counts[k]
         perm = []
@@ -720,23 +721,22 @@ def quotient_complex(cx: ApproximantComplex) -> ApproximantComplex:
                 cur = nxt
             if cur != j or sign != 1:
                 raise NonCellularAction("rotation orbit failed to close")
-        proj = ab.zeros(len(reps), n)
-        for j in range(n):
-            proj[orbit_of[j], j] = orbit_sign[j]
-        projections.append((proj, reps))
-        new_counts.append(len(reps))
+        orbits.append((orbit_of, orbit_sign, reps))
+    new_counts = [len(reps) for _, _, reps in orbits]
 
     def push(mat, k_to, k_from):
-        proj_to, _ = projections[k_to]
-        _, reps_from = projections[k_from]
-        cols = ab.zeros(mat.shape[0], len(reps_from))
-        for i, r in enumerate(reps_from):
-            cols[:, i] = mat[:, r]
-        return proj_to.dot(cols)
+        """The orbit matrix: row i of each representative column goes to its orbit."""
+        orbit_of, orbit_sign, _ = orbits[k_to]
+        reps = orbits[k_from][2]
+        out = ab.zeros(new_counts[k_to], len(reps))
+        for c, col in enumerate(ab.sparse_columns(mat[:, reps])):
+            for i, x in col.items():
+                out[orbit_of[i], c] += orbit_sign[i] * x
+        return out
 
     boundary = [push(cx.boundary[k], k, k + 1) for k in range(cx.dimension)]
     self_map = [push(cx.self_map[k], k, k) for k in range(cx.dimension + 1)]
-    q = ApproximantComplex(
+    return ApproximantComplex(
         dimension=cx.dimension,
         cell_counts=new_counts,
         boundary=boundary,
@@ -745,8 +745,6 @@ def quotient_complex(cx: ApproximantComplex) -> ApproximantComplex:
         rotation_order=1,
         labels=dict(cx.labels, quotient=True),
     )
-    q.validate()
-    return q
 
 
 def quotient_cohomology(cx: ApproximantComplex, max_stages: int = 20) -> list[HullDegree]:

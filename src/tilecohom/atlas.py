@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from . import TilecohomError
 from .tiling import (
     Patch,
     TilingSystem,
@@ -27,15 +28,15 @@ from .tiling import (
 )
 
 
-class NotClosed(Exception):
+class NotClosed(TilecohomError):
     """Class sets still growing at the maximum substitution level."""
 
 
-class BoundaryContamination(Exception):
+class BoundaryContamination(TilecohomError):
     """Interior-region bookkeeping failed while extracting stars."""
 
 
-class IsotropyViolation(Exception):
+class IsotropyViolation(TilecohomError):
     """A nontrivial rigid motion fixes a cell class while preserving its star."""
 
 

@@ -1,10 +1,10 @@
 """Command line front end.
 
 Subcommands: atlas, omega, cohomology, render, compare.  Exit codes:
-0 on success, 1 when any verdict fails, 2 on parse/validation errors, on
-growth that does not close within --max-level, on a cell with a nontrivial
-isotropy group, on a direct limit that does not stabilize and on an output
-that cannot be written.
+0 on success, 1 when any verdict fails, 2 on any ``TilecohomError`` (a
+system or report that does not parse or validate, growth that does not
+close within --max-level, a cell with a nontrivial isotropy group, a direct
+limit that does not stabilize, ...) and on an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ import logging
 import os
 import sys
 
-from .abelian import NotStabilizing
-from .atlas import IsotropyViolation, NotClosed
+from . import TilecohomError
 from .pipeline import (
-    MissingTable,
     RunConfig,
     atlas_stage,
     compare_routes,
@@ -28,7 +26,7 @@ from .pipeline import (
     start_run,
     winding_stage,
 )
-from .tiling import ParseError, RuleViolation, ValidationError
+from .tiling import ParseError, ValidationError
 
 log = logging.getLogger("tilecohom")
 
@@ -173,8 +171,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return _compare_command(args)
         parser.error("unknown command")
-    except (ParseError, ValidationError, RuleViolation, MissingTable, NotClosed,
-            IsotropyViolation, NotStabilizing) as exc:
+    except TilecohomError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except OSError as exc:

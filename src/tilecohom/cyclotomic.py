@@ -16,8 +16,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import cos, pi, sin
 
+from . import TilecohomError
 
-class MixedOrder(Exception):
+
+class MixedOrder(TilecohomError):
     """Operands live over different rotation orders N."""
 
 

@@ -5,11 +5,16 @@ once; the CLI, the demos and the test fixtures all read from it, and the
 ``atlas``, ``omega`` and ``render`` subcommands run the same stage
 functions on their own.  Writing files is left to the caller.
 
-Reports are plain dictionaries serialized as canonical JSON so that a
+Reports are plain dictionaries serialized by ``report_to_json`` as
+``json.dumps(report, sort_keys=True, indent=1)`` and a newline, so that a
 fixed configuration and package version produce byte-identical output;
-wall-clock timings therefore go to the log, never into the report.  The
-canonical form is byte for byte ``json.dumps(report, sort_keys=True,
-indent=1)`` and a newline, which ``report_to_json`` writes directly.
+wall-clock timings therefore go to the log, never into the report.  Every
+matrix in a report (the atlas ``boundary_matrices`` and the collared
+complex's ``boundary``, ``self_map`` and ``rotation``) is written by
+``matrix_json`` as its shape and its nonzero ``[row, col, value]`` entries
+sorted by (row, col); with ``rotation_order`` the complex can be rebuilt
+from the report text alone and its groups recomputed, as a test in
+``tests/test_pipeline_cli.py`` does for Penrose and the square.
 """
 
 from __future__ import annotations
@@ -48,12 +53,12 @@ from .winding import (
     omega_chain,
     rational_coboundary_check,
 )
-from . import __version__
+from . import TilecohomError, __version__
 
 log = logging.getLogger("tilecohom")
 
 
-class MissingTable(Exception):
+class MissingTable(TilecohomError):
     """A report lacks the final group table needed for comparison."""
 
 
@@ -101,8 +106,10 @@ def group_json(g: FgAbGroup) -> dict:
     return {"rank": g.free_rank, "torsion": list(g.torsion)}
 
 
-def matrix_json(mat) -> list:
-    return mat.tolist()
+def matrix_json(mat) -> dict:
+    """Shape and nonzero ``[row, col, value]`` entries, sorted by (row, col)."""
+    return {"shape": list(mat.shape),
+            "entries": [[int(i), int(j), int(mat[i, j])] for i, j in zip(*np.nonzero(mat))]}
 
 
 def run_pipeline(cfg: RunConfig) -> Run:
@@ -225,6 +232,7 @@ def quotient_stage(run: Run):
     A complex without a rotation is its own quotient.
     """
     cx, torus = run.complex, run.torus
+    rotation = None if cx.rotation is None else [matrix_json(r) for r in cx.rotation]
     run.quotient = quot = run.hull if cx.rotation is None else quotient_cohomology(cx)
     run.report["routes"]["mapping_torus"].update(
         collared_classes=cx.labels["collared_classes"],
@@ -232,9 +240,10 @@ def quotient_stage(run: Run):
         cells=cx.cell_counts,
         quotient_hull=[group_json(h.group) for h in quot],
         complex={
-            "cells": cx.cell_counts,
             "boundary": [matrix_json(b) for b in cx.boundary],
             "self_map": [matrix_json(s) for s in cx.self_map],
+            "rotation": rotation,
+            "rotation_order": cx.rotation_order,
         },
     )
     invariant_ranks = [d.invariants.free_rank for d in torus[:len(quot)]]
@@ -344,41 +353,5 @@ def _final_groups(report) -> list:
 
 
 def report_to_json(report: dict) -> str:
-    """The canonical text of a report: ``json.dumps(report, sort_keys=True,
-    indent=1) + "\\n"``, byte for byte.
-
-    With ``indent`` set, ``json`` encodes in pure Python one value at a time;
-    here a row of plain ints, such as a matrix row, is joined in one step.
-    Every scalar and key still goes through ``json.dumps``.  A key that is
-    not a str raises ``TypeError``, where ``json`` would coerce it.
-    """
-    out = []
-    _write_json(report, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _write_json(value, nl: str, out: list):
-    """Append the indented JSON of ``value``; ``nl`` is a newline and its indent."""
-    inner = nl + " "
-    if isinstance(value, dict) and value:
-        sep = "{" + inner
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be str, not {type(key).__name__}")
-            out.append(sep + json.dumps(key) + ": ")
-            _write_json(value[key], inner, out)
-            sep = "," + inner
-        out.append(nl + "}")
-    elif isinstance(value, (list, tuple)) and value:
-        if set(map(type, value)) == {int}:
-            out.append("[" + inner + ("," + inner).join(map(str, value)) + nl + "]")
-            return
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _write_json(item, inner, out)
-            sep = "," + inner
-        out.append(nl + "]")
-    else:  # a scalar, or an empty dict or list
-        out.append(json.dumps(value))
+    """The canonical text of a report."""
+    return json.dumps(report, sort_keys=True, indent=1) + "\n"

@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from . import TilecohomError
 from . import abelian as ab
 from .abelian import FgAbGroup, Presentation, group_of_presentation
 
 
-class RankMismatch(Exception):
+class RankMismatch(TilecohomError):
     """Input groups violate the rank relation required by duality."""
 
 

@@ -21,20 +21,21 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
+from . import TilecohomError
 from . import cyclotomic as cyc
 from .abelian import FgAbGroup
 from .cyclotomic import RigidMotion
 
 
-class ParseError(Exception):
+class ParseError(TilecohomError):
     """Malformed tiling-system definition file."""
 
 
-class ValidationError(Exception):
+class ValidationError(TilecohomError):
     """Well-formed definition that violates a system invariant."""
 
 
-class RuleViolation(Exception):
+class RuleViolation(TilecohomError):
     """Substitution placements overlap, leave gaps or miss the boundary."""
 
 
@@ -824,45 +825,62 @@ def _quotient_hull(fixtures) -> tuple[FgAbGroup, ...] | None:
                  for g in fixtures["h_omega0"])
 
 
+def _int(value, path: str) -> int:
+    """A number of a system file, which must be a JSON integer."""
+    if type(value) is not int:
+        raise ParseError(f"bad system definition: {path} must be an integer, not {value!r}")
+    return value
+
+
+def _point(n: int, coeffs, path: str) -> tuple[int, ...]:
+    return cyc.reduce_poly(n, [_int(c, f"{path}[{i}]") for i, c in enumerate(coeffs)])
+
+
+def _tile(n: int, p: dict, path: str) -> Tile:
+    return Tile(_int(p["proto"], f"{path}.proto"), _int(p["rot"], f"{path}.rot") % n,
+                _point(n, p["trans"], f"{path}.trans"))
+
+
 def system_from_dict(data: dict) -> TilingSystem:
+    """The system of a parsed file; a number that is not an integer raises
+    ``ParseError`` naming its JSON path."""
     try:
         kind = data.get("type", "polygonal_2d")
         if kind != "polygonal_2d":
             raise ParseError(f"system type {kind!r} is not a polygonal system")
-        n = int(data.get("ring_order", data["rotation_order"]))
-        rotation_order = int(data["rotation_order"])
+        rotation_order = _int(data["rotation_order"], "rotation_order")
+        n = _int(data.get("ring_order", rotation_order), "ring_order")
         protos = [
             Prototile(
                 i,
                 str(p["label"]),
-                tuple(cyc.reduce_poly(n, v) for v in p["vertices"]),
+                tuple(_point(n, v, f"prototiles[{i}].vertices[{j}]")
+                      for j, v in enumerate(p["vertices"])),
             )
             for i, p in enumerate(data["prototiles"])
         ]
         placements = {}
         for key, plist in data["substitution"].items():
             placements[int(key)] = [
-                Tile(int(p["proto"]), int(p["rot"]) % n, cyc.reduce_poly(n, p["trans"]))
-                for p in plist
+                _tile(n, p, f"substitution.{key}[{j}]") for j, p in enumerate(plist)
             ]
         regroups = []
-        for r in data.get("regroup", []):
-            parts = tuple(
-                Tile(int(p["proto"]), int(p["rot"]) % n, cyc.reduce_poly(n, p["trans"]))
-                for p in r["parts"]
-            )
+        for i, r in enumerate(data.get("regroup", [])):
+            path = f"regroup[{i}]"
+            parts = tuple(_tile(n, p, f"{path}.parts[{j}]") for j, p in enumerate(r["parts"]))
             regroups.append(
                 MergeRule(
                     label=str(r["label"]),
                     parts=parts,
-                    vertices=tuple(cyc.reduce_poly(n, v) for v in r["vertices"]),
+                    vertices=tuple(_point(n, v, f"{path}.vertices[{j}]")
+                                   for j, v in enumerate(r["vertices"])),
                 )
             )
         system = TilingSystem(
             name=str(data.get("name", "unnamed")),
             n=n,
             prototiles=protos,
-            inflation=cyc.reduce_poly(n, data["inflation"]),
+            inflation=_point(n, data["inflation"], "inflation"),
             placements=placements,
             rotation_order=rotation_order,
             regroups=regroups,

@@ -15,15 +15,16 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import TilecohomError
 from . import abelian as ab
 from .atlas import StarAtlas, atlas_edge_lookup, edge_occurrence
 
 
-class IsotropyRequired(Exception):
+class IsotropyRequired(TilecohomError):
     """The atlas has not passed the isotropy check."""
 
 
-class NonIntegralWinding(Exception):
+class NonIntegralWinding(TilecohomError):
     """Signed rho values around a vertex did not sum to a whole turn."""
 
 

@@ -312,6 +312,14 @@ def test_hull_cohomology_rejects_broken_complex(corrupt, error, penrose_run):
         hull_cohomology(cx)
 
 
+def test_quotient_cohomology_rejects_broken_self_map(penrose_run):
+    # the orbit complex is checked by hull_cohomology, not validated again
+    cx = copy.deepcopy(penrose_run.complex)
+    _break_self_map(cx)
+    with pytest.raises(ab.NotChainMap):
+        quotient_cohomology(cx)
+
+
 def test_rotation_action_rejects_broken_rotation(penrose_run):
     cx = copy.deepcopy(penrose_run.complex)
     _break_rotation(cx)

@@ -203,3 +203,20 @@ class TestIsotropyViolation:
 def test_not_closed_when_level_too_small(penrose_system):
     with pytest.raises(NotClosed):
         grow_star_closure(penrose_system, max_level=2)
+
+
+def _atlas_classes(atlas):
+    """Counts, class keys, oriented edge keys and vertex slots of an atlas."""
+    return (atlas.counts(),
+            [c.key for c in atlas.tile_classes],
+            [(c.key, c.oriented_key) for c in atlas.edge_classes],
+            [(c.key, c.slots) for c in atlas.vertex_classes])
+
+
+@pytest.mark.parametrize("system_fixture", ["penrose_system", "square_system"])
+def test_atlas_independent_of_seed_prototile(system_fixture, request):
+    # the closure level may differ: Penrose seeds 2 and 3 close at level 7
+    system = request.getfixturevalue(system_fixture)
+    atlases = [grow_star_closure(system, seed_proto=p) for p in range(len(system.prototiles))]
+    assert all(_atlas_classes(a) == _atlas_classes(atlases[0]) for a in atlases[1:])
+    assert len(atlases) == {"penrose_system": 4, "square_system": 1}[system_fixture]
